@@ -8,16 +8,20 @@ the invalidation story, and measured cold/warm numbers.
 
 from __future__ import annotations
 
+import importlib
 import os
 from typing import Optional
 
-from repro.cache.store import (  # noqa: F401
-    CACHE_VERSION,
-    SubstrateStore,
-    corrupt_store_for_testing,
-)
-from repro.cache.substrate import SubstrateCache, CacheOutcome  # noqa: F401
-from repro.cache.memo import RefutationMemo  # noqa: F401
+#: re-exported name -> defining submodule, resolved on first access so
+#: resolving ``--cache`` does not import the store (and ``sqlite3``)
+_EXPORTS = {
+    "CACHE_VERSION": "store",
+    "SubstrateStore": "store",
+    "corrupt_store_for_testing": "store",
+    "SubstrateCache": "substrate",
+    "CacheOutcome": "substrate",
+    "RefutationMemo": "memo",
+}
 
 #: environment variable naming the default cache directory
 CACHE_ENV = "REPRO_CACHE"
@@ -29,3 +33,12 @@ def cache_dir_from_env(explicit: Optional[str] = None) -> Optional[str]:
     if explicit:
         return explicit
     return os.environ.get(CACHE_ENV) or None
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -126,9 +126,12 @@ def _options_from(args: argparse.Namespace) -> SierraOptions:
 
 
 def _history_path(args: argparse.Namespace) -> Optional[str]:
+    explicit = getattr(args, "history", None)
+    if not explicit and not os.environ.get("REPRO_HISTORY"):
+        return None  # no ledger asked for: leave it (and sqlite3) unimported
     from repro.obs.history import history_path_from_env
 
-    return history_path_from_env(getattr(args, "history", None))
+    return history_path_from_env(explicit)
 
 
 class _TraceSession:
@@ -428,14 +431,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     speedup = data.get("speedup")
     if speedup:
         hbg = speedup["hbg"]
-        pointsto = speedup["pointsto"]
         print(
-            f"\nsubstrate speedups on {speedup['app']}:\n"
-            f"  HBG      : naive {hbg['naive_s']:.3f}s -> bitset "
-            f"{hbg['bitset_s']:.3f}s ({hbg['speedup']:.1f}x)\n"
-            f"  points-to: passes {pointsto['passes_s']:.3f}s -> worklist "
-            f"{pointsto['worklist_s']:.3f}s ({pointsto['speedup']:.1f}x)\n"
-            f"  HBG + CG/PA combined: {speedup['hbg_cg_pa_combined']:.1f}x"
+            f"\nsubstrate speedup on {speedup['app']}:\n"
+            f"  HBG: naive {hbg['naive_s']:.3f}s -> bitset "
+            f"{hbg['bitset_s']:.3f}s ({hbg['speedup']:.1f}x)"
         )
     serve_block = data.get("serve")
     if serve_block:

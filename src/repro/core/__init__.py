@@ -4,7 +4,14 @@ from repro.core.accesses import Access, Location, READ, WRITE, accesses_by_locat
 from repro.core.actions import Action, ActionKind, Affinity
 from repro.core.detector import Sierra, SierraOptions, SierraResult, analyze_apk
 from repro.core.extract import ActionExtractor, Extraction, extract_actions
-from repro.core.harness import HarnessGenerator, HarnessModel, HarnessSite, NONDET, generate_harnesses
+from repro.core.harness import (
+    HarnessFixpoint,
+    HarnessGenerator,
+    HarnessModel,
+    HarnessSite,
+    NONDET,
+    generate_harnesses,
+)
 from repro.core.hb import FIFO_POST_APIS, HBBuilder, HBEdge, SHBG, build_shbg
 from repro.core.prioritize import is_benign_guard, rank_races
 from repro.core.provenance import (
@@ -29,6 +36,7 @@ __all__ = [
     "FIFO_POST_APIS",
     "HBBuilder",
     "HBEdge",
+    "HarnessFixpoint",
     "HarnessGenerator",
     "HarnessModel",
     "HarnessSite",

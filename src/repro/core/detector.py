@@ -142,7 +142,12 @@ class Sierra:
                     phase_a_seed = outcome.seed.phase_a_seed
                 else:
                     with obs.span("extract.harness"):
-                        harness = generate_harnesses(apk)
+                        harness, phase_a = generate_harnesses(
+                            apk, index_sensitive_arrays=opts.index_sensitive_arrays
+                        )
+                    if phase_a is not None:
+                        # the final harness round solved phase A already
+                        phase_a_seed = (phase_a, ())
                 selector = make_selector(opts.selector, opts.k)
                 extraction = extract_actions(
                     apk,

@@ -5,6 +5,12 @@ Two analysis phases, as in the paper's architecture (Figure 3):
 * **Phase A** — a context-insensitive whole-program analysis seeded by the
   harnesses. Its call graph identifies every action: event actions at
   harness sites, posted actions at ``post``/``thread``/``task`` edges.
+  In the pipeline phase A is not solved here: the harness fixpoint's
+  final round already solved the same program with the same entries,
+  selector and dispatch table, and that solver arrives through
+  ``phase_a_seed`` with nothing invalidated (the substrate cache uses the
+  same path to resume an old fixpoint after an additive change). Only a
+  caller without a seed pays a cold solve.
 * **Phase C** — the precise analysis: the selected context abstraction
   (action-sensitive by default) re-analyses the program with every action
   entry pinned to its action id, so heap abstractions never merge across
@@ -92,16 +98,15 @@ class ActionExtractor:
         harness: HarnessModel,
         selector: Optional[ContextSelector] = None,
         index_sensitive_arrays: bool = False,
-        solver: str = "worklist",
         phase_a_seed=None,
     ):
         self.apk = apk
         self.harness = harness
         self.selector = selector if selector is not None else ActionSensitiveSelector()
         self.index_sensitive_arrays = index_sensitive_arrays
-        self.solver = solver
-        # (PointerAnalysis, invalidated methods) from the substrate cache:
-        # resume the old phase-A fixpoint instead of solving from cold
+        # (PointerAnalysis, invalidated methods): the harness fixpoint's
+        # final solve (nothing invalidated) or a cached fixpoint after an
+        # additive change — resumed instead of solving from cold
         self.phase_a_seed = phase_a_seed
 
     # ------------------------------------------------------------------
@@ -120,11 +125,10 @@ class ActionExtractor:
                     layouts=self.apk.layouts,
                     dispatch_table=self.harness.dispatch_table,
                     index_sensitive_arrays=self.index_sensitive_arrays,
-                    solver=self.solver,
                 )
                 phase_a = analysis.solve()
         ext.phase_a = phase_a
-        ext.phase_a_analysis = analysis if self.solver == "worklist" else None
+        ext.phase_a_analysis = analysis
 
         with obs.span("extract.actions"):
             self._collect_event_actions(ext, phase_a)
@@ -140,7 +144,6 @@ class ActionExtractor:
                 dispatch_table=self.harness.dispatch_table,
                 action_resolver=ext.resolver,
                 index_sensitive_arrays=self.index_sensitive_arrays,
-                solver=self.solver,
             ).solve()
         ext.result = result
 
@@ -363,7 +366,6 @@ def extract_actions(
     harness: HarnessModel,
     selector: Optional[ContextSelector] = None,
     index_sensitive_arrays: bool = False,
-    solver: str = "worklist",
     phase_a_seed=None,
 ) -> Extraction:
     """Convenience wrapper running the full extraction."""
@@ -372,6 +374,5 @@ def extract_actions(
         harness,
         selector=selector,
         index_sensitive_arrays=index_sensitive_arrays,
-        solver=solver,
         phase_a_seed=phase_a_seed,
     ).extract()

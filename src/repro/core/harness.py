@@ -20,7 +20,7 @@ pointer analysis, symbolic execution) treats it uniformly with app code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.context import InsensitiveSelector
 from repro.analysis.pointsto import Entry, EventDispatch, PointerAnalysis, PointsToResult
@@ -74,6 +74,23 @@ class HarnessModel:
         return len(self.mains)
 
 
+class HarnessFixpoint(NamedTuple):
+    """What the §3.2 fixpoint produces: the finished harness model and the
+    solver of its final round.
+
+    The final round's context-insensitive solve *is* extraction's phase A
+    (same program, entries, selector and dispatch table), so extraction
+    takes it over instead of solving again. ``phase_a`` is None only when
+    the round cap stopped discovery before the final model was solved."""
+
+    model: HarnessModel
+    phase_a: Optional[PointerAnalysis]
+
+    @property
+    def fixpoint_rounds(self) -> int:
+        return self.model.fixpoint_rounds
+
+
 @dataclass(frozen=True)
 class _Registration:
     """A discovered runtime listener registration."""
@@ -93,36 +110,37 @@ class HarnessGenerator:
 
     MAX_ROUNDS = 10
 
-    def __init__(self, apk: Apk):
+    def __init__(self, apk: Apk, index_sensitive_arrays: bool = False):
         self.apk = apk
         self.program = apk.program
+        self.index_sensitive_arrays = index_sensitive_arrays
         self._marker_index: Dict[Tuple[str, int], int] = {}
         self._next_marker = 0
 
     # ------------------------------------------------------------------
-    def generate(self) -> HarnessModel:
-        """Run the §3.2 fixpoint and return the finished harness model."""
+    def generate(self) -> HarnessFixpoint:
+        """Run the §3.2 fixpoint; return the finished model and its solve."""
         registrations: Dict[Tuple[str, int], _Registration] = {}
         reg_activities: Dict[Tuple[str, int], set] = {}
         model = self._emit_all(registrations, reg_activities)
+        analysis: Optional[PointerAnalysis] = None
         for round_no in range(1, self.MAX_ROUNDS + 1):
             model.fixpoint_rounds = round_no
-            result = self._run_phase_a(model)
+            analysis = PointerAnalysis(
+                self.program,
+                model.entries,
+                selector=InsensitiveSelector(),
+                layouts=self.apk.layouts,
+                dispatch_table=model.dispatch_table,
+                index_sensitive_arrays=self.index_sensitive_arrays,
+            )
+            result = analysis.solve()
             new = self._discover_registrations(result, model, registrations, reg_activities)
             if not new:
                 break
             model = self._emit_all(registrations, reg_activities)
-        return model
-
-    def _run_phase_a(self, model: HarnessModel) -> PointsToResult:
-        analysis = PointerAnalysis(
-            self.program,
-            model.entries,
-            selector=InsensitiveSelector(),
-            layouts=self.apk.layouts,
-            dispatch_table=model.dispatch_table,
-        )
-        return analysis.solve()
+            analysis = None  # the re-emitted model has not been solved
+        return HarnessFixpoint(model, analysis)
 
     def _discover_registrations(
         self,
@@ -409,6 +427,9 @@ class HarnessGenerator:
                     )
 
 
-def generate_harnesses(apk: Apk) -> HarnessModel:
-    """Convenience wrapper: run the harness fixpoint for ``apk``."""
-    return HarnessGenerator(apk).generate()
+def generate_harnesses(apk: Apk, index_sensitive_arrays: bool = False) -> HarnessFixpoint:
+    """Convenience wrapper: run the harness fixpoint for ``apk``.
+
+    ``index_sensitive_arrays`` must match the extraction's setting for the
+    returned solve to serve as its phase A."""
+    return HarnessGenerator(apk, index_sensitive_arrays=index_sensitive_arrays).generate()

@@ -119,11 +119,24 @@ class SHBG:
         return counts
 
     # -- provenance queries (repro explain / report provenance blocks) --
-    def _direct_successors(self) -> Dict[int, List[HBEdge]]:
-        adjacency: Dict[int, List[HBEdge]] = {}
-        for edge in self.direct_edges:
-            adjacency.setdefault(edge.src, []).append(edge)
-        return adjacency
+    # Answered from two derived indices over ``direct_edges`` (successor
+    # lists and per-action rule counts) and from the closure's bit-rows.
+    # The indices are built on first use, rebuilt only if edges were added
+    # since, and never pickled: a cached SHBG keeps its shape.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_edge_index", None)
+        return state
+
+    def _index(self) -> "_EdgeIndex":
+        index = self.__dict__.get("_edge_index")
+        if index is None or index.size != len(self.direct_edges):
+            index = self.__dict__["_edge_index"] = _EdgeIndex(self.direct_edges)
+        return index
+
+    def incident_rules(self, action_id: int) -> Dict[str, int]:
+        """Rules that produced direct edges touching this action, by name."""
+        return dict(sorted(self._index().rules.get(action_id, {}).items()))
 
     def rule_path(self, src: int, dst: int) -> Optional[List[HBEdge]]:
         """A shortest rule-labeled derivation of ``src ≺ dst`` over the
@@ -135,7 +148,7 @@ class SHBG:
         """
         if src == dst or not self.ordered(src, dst):
             return None
-        adjacency = self._direct_successors()
+        adjacency = self._index().successors
         frontier = [src]
         came_from: Dict[int, HBEdge] = {}
         seen = {src}
@@ -163,23 +176,30 @@ class SHBG:
     def common_ancestors(self, a: int, b: int) -> List[int]:
         """Actions ordered before *both* a and b (the candidate fork points
         an unordered pair diverged from), in action-id order."""
-        return [
-            action.id
-            for action in self.actions
-            if self.ordered(action.id, a) and self.ordered(action.id, b)
-        ]
+        closure = self.closure
+        return sorted(closure.decode(closure.row_before(a) & closure.row_before(b)))
 
     def fork_points(self, a: int, b: int) -> List[int]:
         """The *latest* common ancestors of a and b: common ancestors with
         no other common ancestor ordered after them. For a racy pair these
         are where control provably diverged without ever re-ordering."""
-        ancestors = self.common_ancestors(a, b)
-        pool = set(ancestors)
-        return [
-            c
-            for c in ancestors
-            if not any(self.ordered(c, other) for other in pool if other != c)
-        ]
+        closure = self.closure
+        pool = closure.row_before(a) & closure.row_before(b)
+        return sorted(c for c in closure.decode(pool) if not closure.row_after(c) & pool)
+
+
+class _EdgeIndex:
+    """Successor lists and per-action rule counts over a direct-edge list."""
+
+    def __init__(self, edges: List[HBEdge]) -> None:
+        self.size = len(edges)
+        self.successors: Dict[int, List[HBEdge]] = {}
+        self.rules: Dict[int, Dict[str, int]] = {}
+        for edge in edges:
+            self.successors.setdefault(edge.src, []).append(edge)
+            for end in (edge.src, edge.dst):
+                counts = self.rules.setdefault(end, {})
+                counts[edge.rule] = counts.get(edge.rule, 0) + 1
 
 
 class HBBuilder:

@@ -26,6 +26,7 @@ data as a human-readable evidence tree.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -108,15 +109,6 @@ def _capped(items: List, cap: int = MAX_LIST) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # pillar 1: happens-before evidence
 # ----------------------------------------------------------------------
-def _incident_rules(shbg: SHBG, action_id: int) -> Dict[str, int]:
-    """Rules that produced direct edges touching this action."""
-    counts: Dict[str, int] = {}
-    for edge in shbg.direct_edges:
-        if edge.src == action_id or edge.dst == action_id:
-            counts[edge.rule] = counts.get(edge.rule, 0) + 1
-    return dict(sorted(counts.items()))
-
-
 def _rule6_gap(
     extraction: Extraction, shbg: SHBG, a_id: int, b_id: int
 ) -> Optional[Dict[str, object]]:
@@ -167,11 +159,11 @@ def _hb_evidence(extraction: Extraction, shbg: SHBG, pair: RacyPair) -> Dict[str
         "actions": {
             str(a_id): {
                 "describe": a.describe(),
-                "incident_rules": _incident_rules(shbg, a_id),
+                "incident_rules": shbg.incident_rules(a_id),
             },
             str(b_id): {
                 "describe": b.describe(),
-                "incident_rules": _incident_rules(shbg, b_id),
+                "incident_rules": shbg.incident_rules(b_id),
             },
         },
         "fork_points": forks[:MAX_LIST],
@@ -230,32 +222,45 @@ def _refutation_evidence(result: Optional[RefutationResult]) -> Dict[str, object
     }
 
 
-def _sibling_evidence(
-    pair: RacyPair, all_results: List[RefutationResult]
-) -> List[Dict[str, object]]:
-    """Refuted candidates related to this pair (same field, or sharing an
-    action): the refutations that vouch for the detector's selectivity."""
-    siblings: List[Dict[str, object]] = []
-    pair_actions = set(pair.actions)
-    for result in all_results:
-        if result.is_race or result.pair is pair:
-            continue
-        related = result.pair.field_name == pair.field_name or bool(
-            set(result.pair.actions) & pair_actions
-        )
-        if not related:
-            continue
-        siblings.append(
-            {
-                "actions": list(result.pair.actions),
-                "field": result.pair.field_name,
-                "kind": result.pair.kind,
-                "refuted_ordering": result.refuted_ordering,
-            }
-        )
-        if len(siblings) >= MAX_SIBLINGS:
-            break
-    return siblings
+class _RefutedIndex:
+    """Positions of the refuted results, by field and by action, so each
+    report's siblings come from three short lists instead of a scan."""
+
+    def __init__(self, results: List[RefutationResult]) -> None:
+        self.results = results
+        self.by_field: Dict[str, List[int]] = {}
+        self.by_action: Dict[int, List[int]] = {}
+        for pos, result in enumerate(results):
+            if result.is_race:
+                continue
+            self.by_field.setdefault(result.pair.field_name, []).append(pos)
+            for action_id in set(result.pair.actions):
+                self.by_action.setdefault(action_id, []).append(pos)
+
+    def siblings(self, pair: RacyPair) -> List[Dict[str, object]]:
+        """Refuted candidates related to this pair (same field, or sharing
+        an action) in result order: the refutations that vouch for the
+        detector's selectivity."""
+        lists = [self.by_field.get(pair.field_name, [])]
+        lists.extend(self.by_action.get(a, []) for a in set(pair.actions))
+        siblings: List[Dict[str, object]] = []
+        last = -1
+        for pos in heapq.merge(*lists):
+            result = self.results[pos]
+            if pos == last or result.pair is pair:
+                continue
+            last = pos
+            siblings.append(
+                {
+                    "actions": list(result.pair.actions),
+                    "field": result.pair.field_name,
+                    "kind": result.pair.kind,
+                    "refuted_ordering": result.refuted_ordering,
+                }
+            )
+            if len(siblings) >= MAX_SIBLINGS:
+                break
+        return siblings
 
 
 # ----------------------------------------------------------------------
@@ -267,13 +272,19 @@ def build_provenance(
     shbg: SHBG,
     result: Optional[RefutationResult] = None,
     all_results: Optional[List[RefutationResult]] = None,
+    refuted: Optional[_RefutedIndex] = None,
 ) -> RaceProvenance:
-    """Assemble the three-pillar evidence bundle for one racy pair."""
+    """Assemble the three-pillar evidence bundle for one racy pair.
+
+    ``refuted`` is ``all_results`` already indexed (one index serves every
+    report of a run); it is built here when not passed."""
+    if refuted is None:
+        refuted = _RefutedIndex(all_results or [])
     return RaceProvenance(
         hb=_hb_evidence(extraction, shbg, pair),
         aliasing=_aliasing_evidence(pair),
         refutation=_refutation_evidence(result),
-        refuted_siblings=_sibling_evidence(pair, all_results or []),
+        refuted_siblings=refuted.siblings(pair),
     )
 
 
@@ -284,16 +295,15 @@ def attach_provenance(
     results: Optional[List[RefutationResult]] = None,
 ) -> None:
     """Attach a provenance bundle to every ranked report (in place)."""
-    by_pair: Dict[int, RefutationResult] = {}
-    if results:
-        by_pair = {id(r.pair): r for r in results}
+    by_pair = {id(r.pair): r for r in results or ()}
+    refuted = _RefutedIndex(results or [])
     for report in reports:
         report.provenance = build_provenance(
             report.pair,
             extraction,
             shbg,
             result=by_pair.get(id(report.pair)),
-            all_results=results or [],
+            refuted=refuted,
         )
 
 

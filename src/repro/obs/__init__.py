@@ -9,18 +9,18 @@ See :mod:`repro.obs.diagnostics` (span/stage/hook bus),
 :mod:`repro.obs.log` (structured JSON event log),
 :mod:`repro.obs.telemetry` (Prometheus exposition, ring-buffer sampler,
 SLO watchdog), and ``docs/observability.md``.
+
+The submodules every run uses are imported here; the ledger stack
+(``history`` with ``sqlite3`` and ``uuid``, ``diffing``, ``dashboard``)
+and ``telemetry`` are imported on first attribute access
+(``obs.history``, ``from repro.obs import history``), so a one-shot
+``repro analyze`` never loads them.
 """
 
-from repro.obs import (
-    dashboard,
-    diffing,
-    history,
-    log,
-    metrics,
-    profile,
-    telemetry,
-    tracing,
-)
+import importlib
+
+from repro.obs import log, metrics, profile, tracing
+
 from repro.obs.diagnostics import (
     DEGRADED,
     Recorder,
@@ -76,3 +76,11 @@ __all__ = [
     "validate_chrome_trace",
     "validate_trace_file",
 ]
+
+_LAZY_SUBMODULES = frozenset({"dashboard", "diffing", "history", "telemetry"})
+
+
+def __getattr__(name: str):
+    if name in _LAZY_SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

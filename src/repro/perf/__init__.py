@@ -8,7 +8,6 @@ from repro.perf.bench import (
     SPEEDUP_APP,
     bench_app,
     bench_hbg,
-    bench_pointsto,
     collect_counters,
     collect_stage_timings,
     compare_to_baseline,
@@ -23,7 +22,6 @@ __all__ = [
     "SPEEDUP_APP",
     "bench_app",
     "bench_hbg",
-    "bench_pointsto",
     "collect_counters",
     "collect_stage_timings",
     "compare_to_baseline",

@@ -3,14 +3,10 @@
 Runs the synthetic corpus through the full pipeline, records per-stage
 wall-clock timings plus substrate effort counters (closure row merges,
 points-to worklist iterations, refutation nodes expanded), and measures the
-fast-path substrates against their naive baselines:
-
-* HBG — build the real SHBG (all seven rules) over the app's extraction
-  with the bitset closure and with
-  :class:`~repro.util.graph.NaiveTransitiveClosure`, each side paying the
-  Table 3 edge-count cost the way the respective pipeline served it;
-* points-to — solve phase A with the delta-worklist driver and with the
-  original whole-program-passes driver.
+HBG substrate against its naive baseline: build the real SHBG (all seven
+rules) over the app's extraction with the bitset closure and with
+:class:`~repro.util.graph.NaiveTransitiveClosure`, each side paying the
+Table 3 edge-count cost the way the respective pipeline served it.
 
 The result is written to ``BENCH_pipeline.json`` so later changes have a
 recorded trajectory to regress against (``benchmarks/run_bench.py`` fails
@@ -141,8 +137,10 @@ def bench_hbg(name: str = SPEEDUP_APP, repeats: int = 3) -> Dict[str, object]:
     from repro.core.hb import build_shbg
 
     apk = _load_app(name)
-    harness = generate_harnesses(apk)
-    ext = extract_actions(apk, harness, selector=make_selector("action", 2))
+    harness, phase_a = generate_harnesses(apk)
+    ext = extract_actions(
+        apk, harness, selector=make_selector("action", 2), phase_a_seed=(phase_a, ())
+    )
 
     def run(closure_factory, seed_cost: bool):
         t0 = time.perf_counter()
@@ -171,50 +169,6 @@ def bench_hbg(name: str = SPEEDUP_APP, repeats: int = 3) -> Dict[str, object]:
         "naive_s": round(naive[0], 4),
         "bitset_s": round(bitset[0], 4),
         "speedup": round(naive[0] / bitset[0], 2) if bitset[0] else float("inf"),
-    }
-
-
-def bench_pointsto(name: str = SPEEDUP_APP, repeats: int = 3) -> Dict[str, object]:
-    """Delta-worklist vs whole-program-passes points-to on phase A.
-
-    Best of ``repeats`` per solver; the fixpoints are asserted equal.
-    """
-    from repro.analysis.context import InsensitiveSelector
-    from repro.analysis.pointsto import PointerAnalysis
-    from repro.core.harness import generate_harnesses
-
-    apk = _load_app(name)
-    harness = generate_harnesses(apk)
-
-    def run(solver: str):
-        t0 = time.perf_counter()
-        analysis = PointerAnalysis(
-            apk.program,
-            harness.entries,
-            selector=InsensitiveSelector(),
-            layouts=apk.layouts,
-            dispatch_table=harness.dispatch_table,
-            solver=solver,
-        )
-        result = analysis.solve()
-        return time.perf_counter() - t0, analysis, result
-
-    gc.collect()
-    passes = min((run("passes") for _ in range(repeats)), key=lambda r: r[0])
-    gc.collect()
-    worklist = min((run("worklist") for _ in range(repeats)), key=lambda r: r[0])
-    passes_s, passes_pa, passes_res = passes
-    worklist_s, worklist_pa, worklist_res = worklist
-    assert passes_res.variable_count() == worklist_res.variable_count()
-    assert len(passes_res.call_graph) == len(worklist_res.call_graph)
-    return {
-        "app": name,
-        "passes_s": round(passes_s, 4),
-        "worklist_s": round(worklist_s, 4),
-        "passes": passes_pa.passes_run,
-        "worklist_iterations": worklist_pa.worklist_iterations,
-        "call_graph_nodes": len(worklist_res.call_graph),
-        "speedup": round(passes_s / worklist_s, 2) if worklist_s else float("inf"),
     }
 
 
@@ -704,16 +658,7 @@ def run_bench(
     # leave megabytes of live objects behind, and gen-2 collections inside
     # the timed loops would tax the fast (sub-100ms) sides hardest
     if speedup_app is not None:
-        hbg = bench_hbg(speedup_app)
-        pointsto = bench_pointsto(speedup_app)
-        slow = hbg["naive_s"] + pointsto["passes_s"]
-        fast = hbg["bitset_s"] + pointsto["worklist_s"]
-        data["speedup"] = {
-            "app": speedup_app,
-            "hbg": hbg,
-            "pointsto": pointsto,
-            "hbg_cg_pa_combined": round(slow / fast, 2) if fast else float("inf"),
-        }
+        data["speedup"] = {"app": speedup_app, "hbg": bench_hbg(speedup_app)}
     if warm:
         warm_data = run_warm_bench(
             apps, cache_dir, parallelism=parallelism, history=history

@@ -25,8 +25,8 @@ Endpoints (all JSON unless noted):
 ======================  ====================================================
 
 Error mapping: unknown app or bad options → 400, unknown job/run → 404,
-malformed ledger → 500 — a corrupt backing store must be loud, never an
-empty 200.
+request body over :data:`MAX_BODY_BYTES` → 413, malformed ledger → 500 —
+a corrupt backing store must be loud, never an empty 200.
 """
 
 from __future__ import annotations
@@ -57,6 +57,14 @@ DEFAULT_PORT = 8787
 
 #: client-side default resolution (``repro submit`` et al.)
 SERVE_URL_ENV = "REPRO_SERVE_URL"
+
+#: largest request body the daemon reads (a job submission is a few
+#: hundred bytes); a longer declared length is refused before any read
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyTooLarge(ValueError):
+    """The declared Content-Length exceeds :data:`MAX_BODY_BYTES`."""
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -91,6 +99,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -99,7 +109,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": message})
 
     def _read_body(self) -> Dict[str, object]:
+        """Read and parse the JSON body; the declared length is checked
+        first, because ``rfile.read`` trusts it: a negative one reads until
+        the client hangs up, a huge one is allocated up front."""
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0 or length > MAX_BODY_BYTES:
+            # the unread body would be parsed as the next request
+            self.close_connection = True
+            if length < 0:
+                raise ValueError(f"negative Content-Length {length}")
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         raw = self.rfile.read(length) if length else b"{}"
         payload = json.loads(raw.decode("utf-8") or "{}")
         if not isinstance(payload, dict):
@@ -281,6 +302,8 @@ class _Handler(BaseHTTPRequestHandler):
 
         try:
             body = self._read_body()
+        except _BodyTooLarge as exc:
+            return self._error(413, str(exc))
         except (ValueError, UnicodeDecodeError) as exc:
             return self._error(400, f"bad request body: {exc}")
         app = body.get("app")

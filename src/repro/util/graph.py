@@ -317,7 +317,8 @@ class TransitiveClosure(Generic[N]):
             return False
         return (((self._after[ia] >> ib) | (self._after[ib] >> ia)) & 1) == 1
 
-    def _decode(self, mask: int) -> Set[N]:
+    def decode(self, mask: int) -> Set[N]:
+        """The nodes whose bits are set in ``mask``."""
         nodes = self._node_list
         out: Set[N] = set()
         while mask:
@@ -328,11 +329,11 @@ class TransitiveClosure(Generic[N]):
 
     def successors(self, node: N) -> Set[N]:
         idx = self._index.get(node)
-        return self._decode(self._after[idx]) if idx is not None else set()
+        return self.decode(self._after[idx]) if idx is not None else set()
 
     def predecessors(self, node: N) -> Set[N]:
         idx = self._index.get(node)
-        return self._decode(self._before[idx]) if idx is not None else set()
+        return self.decode(self._before[idx]) if idx is not None else set()
 
     def direct_edges(self) -> Set[Tuple[N, N]]:
         """Edges inserted explicitly (not derived by transitivity)."""

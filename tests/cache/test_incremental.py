@@ -44,7 +44,7 @@ def two_component_program():
 
 def solve(program, entries, replay=False):
     analysis = PointerAnalysis(
-        program, entries, selector=InsensitiveSelector(), solver="worklist"
+        program, entries, selector=InsensitiveSelector()
     )
     if replay:
         analysis.replay_log = []

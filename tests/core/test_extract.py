@@ -127,8 +127,55 @@ class TestWithoutActionSensitivity:
     def test_hybrid_members_fall_back_to_methods(self, newsreader_apk):
         from repro.analysis.context import HybridSelector
 
-        harness = generate_harnesses(newsreader_apk)
+        harness = generate_harnesses(newsreader_apk).model
         ext = extract_actions(newsreader_apk, harness, selector=HybridSelector())
         for a in ext.actions:
             assert a.members, a
             assert all(mc.action_id() is None for mc in a.members)
+
+
+class TestPhaseAHandOff:
+    """The harness fixpoint's final solve is extraction's phase A: no
+    phase-A solve runs after the harness, and the result is the same as
+    solving phase A from cold."""
+
+    def test_cold_solves_are_harness_rounds_plus_phase_c(self):
+        from repro.core import Sierra, SierraOptions
+        from repro.corpus import build_newsreader_app
+        from repro.obs import metrics
+
+        for index_sensitive in (False, True):
+            result = Sierra(
+                SierraOptions(index_sensitive_arrays=index_sensitive)
+            ).analyze(build_newsreader_app())
+            assert result.harness.fixpoint_rounds >= 2
+            assert metrics.registry().value("pointsto.cold_solves") == (
+                result.harness.fixpoint_rounds + 1
+            )
+
+    def test_handed_over_phase_a_equals_cold_phase_a(self):
+        from repro.corpus import build_newsreader_app
+        from repro.obs import metrics
+
+        for index_sensitive in (False, True):
+            apk = build_newsreader_app()
+            harness, phase_a = generate_harnesses(apk, index_sensitive_arrays=index_sensitive)
+            cold = extract_actions(apk, harness, index_sensitive_arrays=index_sensitive)
+            metrics.reset_run()
+            warm = extract_actions(
+                apk,
+                harness,
+                index_sensitive_arrays=index_sensitive,
+                phase_a_seed=(phase_a, ()),
+            )
+            # only phase C solved from cold
+            assert metrics.registry().value("pointsto.cold_solves") == 1
+            assert warm.phase_a_analysis is phase_a
+            assert warm.phase_a.call_graph.nodes == cold.phase_a.call_graph.nodes
+            assert [
+                (a.label, a.kind, sorted(a.parents), [m.signature for m in a.member_methods])
+                for a in warm.actions
+            ] == [
+                (a.label, a.kind, sorted(a.parents), [m.signature for m in a.member_methods])
+                for a in cold.actions
+            ]

@@ -1,6 +1,7 @@
 """The seven HB rules: Figures 5, 6, 7 and the §6.4 refinements."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.android.lifecycle import EXPECTED_LIFECYCLE_HB, EXPECTED_LIFECYCLE_UNORDERED
 from repro.android import install_framework, Apk, Manifest
@@ -26,7 +27,7 @@ def full_lifecycle_apk():
 
 
 def analyze(apk):
-    harness = generate_harnesses(apk)
+    harness = generate_harnesses(apk).model
     ext = extract_actions(apk, harness)
     shbg = build_shbg(ext)
     return ext, shbg
@@ -252,7 +253,7 @@ class TestAddDedupe:
         from repro.core.hb import SHBG
 
         apk = full_lifecycle_apk()
-        harness = generate_harnesses(apk)
+        harness = generate_harnesses(apk).model
         ext = extract_actions(apk, harness)
         return SHBG(actions=ext.actions)
 
@@ -286,7 +287,7 @@ class TestClosureImplementationEquivalence:
         from repro.util.graph import NaiveTransitiveClosure
 
         apk = builder()
-        harness = generate_harnesses(apk)
+        harness = generate_harnesses(apk).model
         ext = extract_actions(apk, harness)
         fast = build_shbg(ext)
         slow = build_shbg(ext, closure=NaiveTransitiveClosure())
@@ -300,9 +301,117 @@ class TestClosureImplementationEquivalence:
         from repro.util.graph import NaiveTransitiveClosure
 
         apk, _truth = small_synth
-        harness = generate_harnesses(apk)
+        harness = generate_harnesses(apk).model
         ext = extract_actions(apk, harness)
         fast = build_shbg(ext)
         slow = build_shbg(ext, closure=NaiveTransitiveClosure())
         assert fast.edges_by_rule() == slow.edges_by_rule()
         assert fast.closure.closure_edges() == slow.closure.closure_edges()
+
+
+# ----------------------------------------------------------------------
+# provenance queries vs their brute-force definitions
+# ----------------------------------------------------------------------
+def _oracle_common_ancestors(shbg, a, b):
+    return [
+        x.id for x in shbg.actions if shbg.ordered(x.id, a) and shbg.ordered(x.id, b)
+    ]
+
+
+def _oracle_fork_points(shbg, a, b):
+    ancestors = _oracle_common_ancestors(shbg, a, b)
+    return [
+        c
+        for c in ancestors
+        if not any(shbg.ordered(c, other) for other in ancestors if other != c)
+    ]
+
+
+def _oracle_incident_rules(shbg, action_id):
+    counts = {}
+    for edge in shbg.direct_edges:
+        if edge.src == action_id or edge.dst == action_id:
+            counts[edge.rule] = counts.get(edge.rule, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def _oracle_rule_path(shbg, src, dst):
+    """BFS over an adjacency list rebuilt from the direct edges."""
+    if src == dst or not shbg.ordered(src, dst):
+        return None
+    adjacency = {}
+    for edge in shbg.direct_edges:
+        adjacency.setdefault(edge.src, []).append(edge)
+    frontier, came_from, seen = [src], {}, {src}
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for edge in adjacency.get(node, ()):
+                if edge.dst in seen:
+                    continue
+                seen.add(edge.dst)
+                came_from[edge.dst] = edge
+                if edge.dst == dst:
+                    path, cursor = [], dst
+                    while cursor != src:
+                        path.append(came_from[cursor])
+                        cursor = came_from[cursor].src
+                    return path[::-1]
+                nxt.append(edge.dst)
+        frontier = nxt
+    return None
+
+
+def _random_shbg(n, edges):
+    from types import SimpleNamespace
+
+    from repro.core.hb import SHBG
+
+    shbg = SHBG(actions=[SimpleNamespace(id=i) for i in range(n)])
+    for lo, hi, rule in edges:
+        shbg.add(min(lo, hi), max(lo, hi), rule)  # low -> high keeps it a DAG
+    return shbg
+
+
+_DAG_EDGES = st.lists(
+    st.tuples(st.integers(0, 11), st.integers(0, 11), st.sampled_from("RST")),
+    max_size=40,
+)
+
+
+class TestProvenanceQueries:
+    """The indexed / bit-row provenance queries equal the brute-force
+    definitions they replaced, on random DAGs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_DAG_EDGES)
+    def test_queries_match_brute_force(self, edges):
+        shbg = _random_shbg(12, edges)
+        ids = range(12)
+        for a in ids:
+            assert shbg.incident_rules(a) == _oracle_incident_rules(shbg, a)
+            for b in ids:
+                assert shbg.common_ancestors(a, b) == _oracle_common_ancestors(shbg, a, b)
+                assert shbg.fork_points(a, b) == _oracle_fork_points(shbg, a, b)
+                assert shbg.rule_path(a, b) == _oracle_rule_path(shbg, a, b)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_DAG_EDGES, _DAG_EDGES)
+    def test_index_follows_later_edges(self, first, second):
+        shbg = _random_shbg(12, first)
+        shbg.incident_rules(0)  # builds the index
+        for lo, hi, rule in second:
+            shbg.add(min(lo, hi), max(lo, hi), rule)
+        for a in range(12):
+            assert shbg.incident_rules(a) == _oracle_incident_rules(shbg, a)
+            assert shbg.rule_path(0, a) == _oracle_rule_path(shbg, 0, a)
+
+    def test_index_stays_out_of_pickles(self):
+        import pickle
+
+        shbg = _random_shbg(4, [(0, 1, "R"), (1, 2, "S"), (2, 3, "T")])
+        bare = pickle.dumps(shbg)
+        assert shbg.rule_path(0, 3) is not None  # builds the index
+        assert pickle.dumps(shbg) == bare
+        restored = pickle.loads(bare)
+        assert restored.rule_path(0, 3) == shbg.rule_path(0, 3)

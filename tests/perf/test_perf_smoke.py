@@ -12,7 +12,6 @@ import pytest
 from repro.perf import (
     bench_app,
     bench_hbg,
-    bench_pointsto,
     compare_to_baseline,
     run_bench,
 )
@@ -54,11 +53,6 @@ class TestSubstrateBenches:
         out = bench_hbg(SMALL_APP, repeats=1)
         assert out["hb_edges"] > 0
         assert out["naive_s"] > 0 and out["bitset_s"] > 0
-
-    def test_bench_pointsto_sides_agree(self):
-        out = bench_pointsto(SMALL_APP, repeats=1)
-        assert out["passes"] >= 1
-        assert out["worklist_iterations"] > 0
 
     def test_bench_app_standalone(self):
         record = bench_app(SMALL_APP)

@@ -108,6 +108,41 @@ def test_unknown_route_is_404(client):
     assert err.value.status == 404
 
 
+def _raw_post_status(daemon, content_length: str) -> str:
+    """POST /v1/jobs over a raw socket declaring ``content_length`` but
+    sending no body; return the response's status line."""
+    import socket
+    from urllib.parse import urlparse
+
+    url = urlparse(daemon.url)
+    with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+        sock.sendall(
+            (
+                "POST /v1/jobs HTTP/1.1\r\n"
+                f"Host: {url.hostname}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {content_length}\r\n\r\n"
+            ).encode("ascii")
+        )
+        # the client keeps its side open: a handler that tried to read the
+        # body would block here until the socket timeout
+        response = sock.makefile("rb").readline()
+    return response.decode("ascii").strip()
+
+
+def test_negative_content_length_is_400(daemon, client):
+    assert _raw_post_status(daemon, "-1").split()[1] == "400"
+    assert client.health()["status"] == "ok"
+
+
+def test_oversized_content_length_is_413(daemon, client):
+    from repro.serve.server import MAX_BODY_BYTES
+
+    status = _raw_post_status(daemon, str(MAX_BODY_BYTES + 1))
+    assert status.split()[1] == "413"
+    assert client.health()["status"] == "ok"
+
+
 # ----------------------------------------------------------------------
 # concurrency: N submissions -> N distinct ledger runs
 # ----------------------------------------------------------------------

@@ -143,6 +143,70 @@ class TestBrokenPipe:
         assert "quickstart" in capsys.readouterr().out
 
 
+class TestStartupImports:
+    """A one-shot command imports only what it uses. Run in a fresh
+    interpreter: this test process has long since imported everything."""
+
+    #: the ledger stack (sqlite3/uuid), dashboard, telemetry, and the
+    #: batch driver/scheduler (platform) — none of them serve ``analyze``
+    LAZY = (
+        "sqlite3",
+        "uuid",
+        "platform",
+        "repro.obs.dashboard",
+        "repro.obs.telemetry",
+        "repro.obs.history",
+        "repro.corpus.driver",
+        "repro.corpus.scheduler",
+    )
+
+    def _loaded_after(self, statement: str) -> list:
+        import json
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            f"import json, sys\n{statement}\n"
+            f"print(json.dumps([m for m in {list(self.LAZY)!r} if m in sys.modules]))"
+        )
+        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {**os.environ, "PYTHONPATH": os.path.join(repo_root, "src")}
+        env.pop("REPRO_HISTORY", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            timeout=120,
+            env=env,
+            cwd=repo_root,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        return json.loads(proc.stdout.decode().splitlines()[-1])
+
+    def test_cli_import_skips_unused_subsystems(self):
+        assert self._loaded_after("import repro.cli") == []
+
+    def test_analyze_skips_unused_subsystems(self):
+        assert self._loaded_after(
+            "from repro.cli import main\nmain(['analyze', 'quickstart'])"
+        ) == []
+
+    def test_lazy_exports_still_resolve(self):
+        import repro.cache
+        import repro.corpus
+        import repro.obs
+
+        for package in (repro.corpus, repro.cache):
+            for name in package._EXPORTS:
+                assert getattr(package, name) is not None
+        assert repro.obs.history.RunLedger is not None
+        from repro.corpus import run_corpus, seeded_corpus  # noqa: F401
+        from repro.obs import dashboard, telemetry  # noqa: F401
+
+        with pytest.raises(AttributeError):
+            repro.corpus.no_such_name
+
+
 class TestJsonOutput:
     def test_json_roundtrip(self, capsys):
         import json
