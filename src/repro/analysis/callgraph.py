@@ -90,6 +90,8 @@ class CallGraph:
         self._out: Dict[MethodContext, List[CallEdge]] = {}
         self._in: Dict[MethodContext, List[CallEdge]] = {}
         self._edge_set: Set[Tuple[MethodContext, int, MethodContext]] = set()
+        #: method -> its contexts, in node insertion order (derived state)
+        self._by_method: Dict[Method, List[MethodContext]] = {}
         self.entries: List[MethodContext] = []
 
     def add_node(self, node: MethodContext) -> bool:
@@ -98,6 +100,7 @@ class CallGraph:
         self._nodes[node] = None
         self._out[node] = []
         self._in[node] = []
+        self._by_method.setdefault(node.method, []).append(node)
         return True
 
     def add_entry(self, node: MethodContext) -> None:
@@ -125,10 +128,11 @@ class CallGraph:
 
     def __getstate__(self):
         # _edge_set keys carry id(site) — meaningless in another process.
-        # Rebuild from the edge lists on load so duplicate detection keeps
-        # working against the restored instruction objects.
+        # Rebuild it (and the method index, which only repeats _nodes) from
+        # the node and edge lists on load, so neither grows the pickle.
         state = dict(self.__dict__)
         state.pop("_edge_set", None)
+        state.pop("_by_method", None)
         return state
 
     def __setstate__(self, state) -> None:
@@ -138,6 +142,9 @@ class CallGraph:
             for out in self._out.values()
             for e in out
         }
+        self._by_method = {}
+        for node in self._nodes:
+            self._by_method.setdefault(node.method, []).append(node)
 
     # ------------------------------------------------------------------
     @property
@@ -169,7 +176,8 @@ class CallGraph:
         return [e.callee for e in self._out.get(node, ()) if e.site is site]
 
     def contexts_of(self, method: Method) -> List[MethodContext]:
-        return [node for node in self._nodes if node.method is method]
+        """Every context ``method`` was analysed under, in node order."""
+        return list(self._by_method.get(method, ()))
 
     def edges(self) -> Iterator[CallEdge]:
         for out in self._out.values():

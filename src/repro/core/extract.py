@@ -201,8 +201,7 @@ class ActionExtractor:
                     break
             if main is None:
                 continue
-            main_mcs = [mc for mc in cg.nodes if mc.method is main]
-            for main_mc in main_mcs:
+            for main_mc in cg.contexts_of(main):
                 for callee_mc in cg.callees_at(main_mc, site.instr):
                     entry = callee_mc.method
                     label = f"{site.component.rpartition('.')[2]}.{entry.name}"
@@ -259,8 +258,7 @@ class ActionExtractor:
 
     def _in_action_methods(self, phase_a: PointsToResult, entry: Method) -> List[Method]:
         cg = phase_a.call_graph
-        entry_mcs = [mc for mc in cg.nodes if mc.method is entry]
-        members = cg.reachable_from(entry_mcs, synchronous_only=True)
+        members = cg.reachable_from(cg.contexts_of(entry), synchronous_only=True)
         seen: List[Method] = [entry]
         for mc in members:
             if mc.method not in seen:
@@ -317,13 +315,10 @@ class ActionExtractor:
             # contexts carry no action ids: approximate membership with every
             # context of the action's (phase A) member methods — this is the
             # precision loss the with/without-AS ablation measures.
-            by_method: Dict[int, List[MethodContext]] = {}
-            for mc in cg.nodes:
-                by_method.setdefault(id(mc.method), []).append(mc)
             for action in ext.actions:
                 members: List[MethodContext] = []
                 for method in action.member_methods:
-                    members.extend(by_method.get(id(method), []))
+                    members.extend(cg.contexts_of(method))
                 action.members = members
 
     # ------------------------------------------------------------------
@@ -345,9 +340,7 @@ class ActionExtractor:
         if short in UI_POST_APIS:
             return Affinity.MAIN
         loopers = []
-        for mc in result.call_graph.nodes:
-            if mc.method is not action.creation_method:
-                continue
+        for mc in result.call_graph.contexts_of(action.creation_method):
             for recv in result.var(mc, site.receiver.name):
                 cls = getattr(recv, "class_name", "")
                 if self.apk.program.is_subtype(cls, "android.view.View"):

@@ -366,9 +366,7 @@ class RefutationEngine:
                 from repro.ir.instructions import Var
 
                 if isinstance(arg, Var):
-                    for mc in self.result.call_graph.nodes:
-                        if mc.method is not method:
-                            continue
+                    for mc in self.result.call_graph.contexts_of(method):
                         for msg_obj in self.result.var(mc, arg.name):
                             for fname, value in constants.items():
                                 facts[Location(msg_obj, fname)] = value

@@ -5,9 +5,11 @@ apps must survive individual apps that crash the analysis, hang, or blow
 their path budget. This driver runs the full detector pipeline over every
 corpus app with **per-app fault isolation**:
 
-* each app runs in its own forked worker process under a wall-clock
-  timeout; a hung app is killed and recorded as ``timeout``, a crashed
-  one as ``error`` with the full traceback — the batch always continues;
+* apps run in persistent forked worker processes
+  (:mod:`repro.corpus.scheduler`), each app under a wall-clock timeout; a
+  hung app's worker is killed and the app recorded as ``timeout``, an
+  exception as ``error`` with the full traceback, a crashed worker as a
+  ``WorkerDied`` error — the worker is replaced and the batch continues;
 * the per-app :class:`repro.obs.Recorder` captures the detector's stage
   events, warnings, and degradation signals (e.g. the refutation pool
   falling back to serial) and ships them back to the parent;
@@ -28,7 +30,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import multiprocessing
-import os
 import platform
 import sys
 import time
@@ -53,10 +54,6 @@ STATUS_TIMEOUT = "timeout"
 #: generous per-app wall-clock budget: the largest synthetic app analyzes in
 #: under a second, so anything near this is a hang, not a slow app
 DEFAULT_TIMEOUT_S = 120.0
-
-#: seconds a terminated worker gets to die before escalating to SIGKILL
-_TERMINATE_GRACE_S = 5.0
-
 
 def default_corpus() -> List[str]:
     """The full batch corpus: the figure apps plus all 20 Table 2 apps."""
@@ -252,179 +249,6 @@ def _error_payload(exc: BaseException) -> Dict[str, object]:
             "traceback": traceback.format_exc(),
         },
     }
-
-
-class _PipeStreamer:
-    """An obs hook that streams events through the result pipe as they
-    happen, so a worker killed on timeout still leaves its partial event
-    trail in RUN_report.json (showing *where* it was stuck).
-
-    Pid-guarded: the refutation pool's grandchildren inherit the hook
-    across ``fork`` but must never write — ``Connection.send`` is not safe
-    for concurrent writers. Their spans come back through the chunk
-    results and are re-emitted in this process, where the guard passes.
-    """
-
-    def __init__(self, conn) -> None:
-        self.conn = conn
-        self.pid = os.getpid()
-
-    def __call__(self, event: obs.RunEvent) -> None:
-        if os.getpid() != self.pid:
-            return
-        try:
-            self.conn.send(("event", event.to_dict()))
-        except (BrokenPipeError, OSError):
-            pass  # parent gone; the worker is about to die anyway
-
-
-def _run_app_worker(
-    conn, name, options_dict, inject_fail, inject_hang_s, inject_cache_corrupt
-) -> None:
-    """Forked worker: run one app, ship the payload through the pipe.
-
-    Catches *everything* (SystemExit from app loading included) — the
-    payload, not the exit code, is the parent's source of truth. Events
-    are streamed live as ``("event", dict)`` messages; the terminal
-    ``("result", payload)`` message carries the full record.
-    """
-    streamer = _PipeStreamer(conn)
-    obs.add_hook(streamer)
-    try:
-        payload = _execute_app(
-            name, options_dict, inject_fail, inject_hang_s, inject_cache_corrupt
-        )
-    except BaseException as exc:  # noqa: BLE001 — isolation boundary
-        payload = _error_payload(exc)
-    finally:
-        obs.remove_hook(streamer)
-    try:
-        conn.send(("result", payload))
-    finally:
-        conn.close()
-
-
-def _stuck_stage(events: List[Dict[str, object]]) -> Optional[str]:
-    """The innermost stage/span still open at the end of a partial event
-    stream — where a timed-out worker was when it was killed."""
-    stack: List[str] = []
-    for event in events:
-        kind = event.get("kind")
-        if kind in (obs.STAGE_START, obs.SPAN_START):
-            stack.append(str(event.get("stage")))
-        elif kind in (obs.STAGE_END, obs.SPAN_END) and stack:
-            stack.pop()
-    return stack[-1] if stack else None
-
-
-# ----------------------------------------------------------------------
-# the batch driver
-# ----------------------------------------------------------------------
-def _run_one_isolated(
-    mp_context,
-    name: str,
-    options_dict: Dict[str, object],
-    timeout_s: float,
-    inject_fail: bool,
-    inject_hang_s: float,
-    inject_cache_corrupt: bool = False,
-) -> AppRunRecord:
-    recv_conn, send_conn = mp_context.Pipe(duplex=False)
-    # NOT daemonic: a daemonic worker cannot fork the refutation pool, which
-    # would silently cost every isolated app its --parallelism. Cleanup is
-    # explicit instead (terminate/kill + join on every exit path below).
-    proc = mp_context.Process(
-        target=_run_app_worker,
-        args=(
-            send_conn,
-            name,
-            options_dict,
-            inject_fail,
-            inject_hang_s,
-            inject_cache_corrupt,
-        ),
-    )
-    t0 = time.perf_counter()
-    proc.start()
-    send_conn.close()  # parent's copy: the pipe must EOF when the worker dies
-
-    payload: Optional[Dict[str, object]] = None
-    streamed: List[Dict[str, object]] = []
-    timed_out = False
-    deadline = t0 + timeout_s
-    try:
-        # drain the pipe message by message: ("event", dict) interleaves with
-        # the terminal ("result", payload); on timeout whatever events made
-        # it through are the flush the report keeps
-        while True:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0 or not recv_conn.poll(remaining):
-                timed_out = True
-                break
-            message = recv_conn.recv()
-            if (
-                isinstance(message, tuple)
-                and len(message) == 2
-                and message[0] == "event"
-            ):
-                streamed.append(message[1])
-                continue
-            if (
-                isinstance(message, tuple)
-                and len(message) == 2
-                and message[0] == "result"
-            ):
-                payload = message[1]
-            else:  # legacy bare-payload protocol
-                payload = message
-            break
-    except EOFError:
-        payload = None  # worker died before sending (hard crash)
-    elapsed = time.perf_counter() - t0
-
-    if timed_out:
-        proc.terminate()
-        proc.join(_TERMINATE_GRACE_S)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
-        stuck = _stuck_stage(streamed)
-        error = {
-            "type": "Timeout",
-            "message": f"exceeded the {timeout_s:g}s per-app wall-clock budget"
-            + (f" (stuck in stage {stuck!r})" if stuck else ""),
-            "traceback": "",
-        }
-        if stuck:
-            error["stuck_stage"] = stuck
-        record = AppRunRecord(
-            app=name, status=STATUS_TIMEOUT, events=streamed, error=error
-        )
-    elif payload is None:
-        proc.join(_TERMINATE_GRACE_S)
-        record = AppRunRecord(
-            app=name,
-            status=STATUS_ERROR,
-            events=streamed,
-            error={
-                "type": "WorkerDied",
-                "message": (
-                    f"app worker exited with code {proc.exitcode} "
-                    "before reporting a result"
-                ),
-                "traceback": "",
-            },
-        )
-    else:
-        proc.join(_TERMINATE_GRACE_S)
-        if proc.is_alive():  # sent its payload but wedged on the way out
-            proc.kill()
-            proc.join()
-        record = AppRunRecord(app=name, **_record_kwargs(payload))
-    recv_conn.close()
-    record.elapsed_s = elapsed
-    record.isolated = True
-    return record
 
 
 def _run_one_inline(
@@ -795,16 +619,27 @@ def run_corpus(
         )
         t0 = time.perf_counter()
 
-        def ledger_app(record: AppRunRecord) -> None:
-            ledger.record_app(
-                run.run_id,
-                record.app,
-                status=record.status,
-                elapsed_s=record.elapsed_s,
-                stages=record.stages,
-                metrics=record.metrics,
-                races=record.races,
-            )
+        def flush(batch: List[AppRunRecord]) -> None:
+            """Stream a burst of finished apps out, in completion order:
+            one ledger transaction per burst, then the cost-model
+            prediction and the caller's per-record progress callback."""
+            if ledger is not None:
+                with ledger.batch():
+                    for record in batch:
+                        ledger.record_app(
+                            run.run_id,
+                            record.app,
+                            status=record.status,
+                            elapsed_s=record.elapsed_s,
+                            stages=record.stages,
+                            metrics=record.metrics,
+                            races=record.races,
+                        )
+            for record in batch:
+                observe_prediction(record)
+            if progress is not None:
+                for record in batch:
+                    progress(record)
 
         if mp_context is not None:
             from repro.corpus import scheduler as sched
@@ -836,21 +671,6 @@ def run_corpus(
                 if progress_line
                 else None
             )
-
-            def flush(batch: List[AppRunRecord]) -> None:
-                """Stream a burst of finished apps out, in completion
-                order: one ledger transaction per burst, then the
-                caller's per-record progress callback."""
-                if ledger is not None:
-                    with ledger.batch():
-                        for record in batch:
-                            ledger_app(record)
-                for record in batch:
-                    observe_prediction(record)
-                if progress is not None:
-                    for record in batch:
-                        progress(record)
-
             run.records = sched.run_sharded(
                 mp_context,
                 items,
@@ -875,11 +695,7 @@ def run_corpus(
                     error_type=record.error.get("type") if record.error else None,
                 )
                 run.records.append(record)
-                if ledger is not None:
-                    ledger_app(record)
-                observe_prediction(record)
-                if progress is not None:
-                    progress(record)
+                flush([record])
         run.elapsed_s = time.perf_counter() - t0
         if cost_model is not None:
             run.cost_model = _cost_model_block(

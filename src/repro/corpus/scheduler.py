@@ -1,9 +1,10 @@
-"""Sharded work-stealing scheduler: the corpus driver's execution engine.
+"""Persistent analysis workers and the sharded work-stealing scheduler.
 
-The original driver forked one worker process *per app*, serially — corpus
-throughput was bounded by a single analysis no matter how many cores the
-machine had. This module replaces that loop with a persistent pool of
-``shards`` worker processes fed by the parent from a size-aware plan:
+:class:`WorkerHandle` is the one way whole-app analysis is forked: the
+parent's side of a persistent worker process that runs one app at a time
+under a wall-clock deadline. The corpus driver's pool (:func:`run_sharded`)
+multiplexes ``shards`` handles; each ``repro serve`` worker thread owns
+one. The pool feeds its handles from a size-aware plan:
 
 * **Binpacking (LPT):** apps are ranked by predicted cost and assigned
   largest-first to the least-loaded shard, so the expensive tail starts
@@ -17,16 +18,15 @@ machine had. This module replaces that loop with a persistent pool of
   *tail* of the most-loaded remaining shard — the cheapest item of the
   busiest bin, the classic steal that keeps the plan's locality while
   fixing its estimation errors.
-* **Streaming:** workers ship obs events live through their pipe (the
-  driver's :class:`_PipeStreamer`) and results as they complete; the
+* **Streaming:** workers ship obs events live through their pipe
+  (:class:`_PipeStreamer`) and results as they complete; the
   parent flushes finished apps to the ledger in completion order, so an
   operator tailing the ledger sees progress, not a final dump.
-* **Isolation preserved:** per-app wall-clock deadlines are enforced by
-  the parent (a stuck worker is killed, the app recorded as ``timeout``
-  with the partial event trail naming the stuck stage, and the shard
+* **Isolation:** per-app wall-clock deadlines are enforced by the
+  parent (a stuck worker is killed, the app recorded as ``timeout`` with
+  the partial event trail naming the stuck stage, and the shard
   respawned); a crashed worker yields a ``WorkerDied`` error record and a
-  fresh process. ``--inject-fail`` / ``--inject-hang`` ride through
-  unchanged.
+  fresh process. ``--inject-fail`` / ``--inject-hang`` ride through.
 
 The pool also fixes nested-parallelism oversubscription: with ``P`` shards
 each running refutation at ``SierraOptions.parallelism R``, ``P*R``
@@ -43,12 +43,21 @@ from __future__ import annotations
 import logging
 import os
 import sys
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _conn_wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.corpus.driver import (
+    STATUS_ERROR,
+    STATUS_TIMEOUT,
+    AppRunRecord,
+    _error_payload,
+    _execute_app,
+    _record_kwargs,
+)
 from repro.obs import log as obs_log
 from repro.obs import metrics
 
@@ -215,13 +224,36 @@ class ProgressLine:
 # ----------------------------------------------------------------------
 # the worker loop (runs in a forked process)
 # ----------------------------------------------------------------------
-def _shard_worker(conn, shard: int) -> None:
-    """Persistent shard worker: recv task → analyze → send result, until
-    told to stop. Events stream live through the same pipe (duplex);
-    every exception becomes an error payload — the process only dies on a
-    genuine crash (which the parent detects as EOF and respawns)."""
-    from repro.corpus.driver import _error_payload, _execute_app, _PipeStreamer
+class _PipeStreamer:
+    """An obs hook that streams events through the worker's pipe as they
+    happen, so a worker killed on timeout still leaves its partial event
+    trail in RUN_report.json (showing *where* it was stuck).
 
+    Pid-guarded: the refutation pool's grandchildren inherit the hook
+    across ``fork`` but must never write — ``Connection.send`` is not safe
+    for concurrent writers. Their spans come back through the chunk
+    results and are re-emitted in this process, where the guard passes.
+    """
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+        self.pid = os.getpid()
+
+    def __call__(self, event: obs.RunEvent) -> None:
+        if os.getpid() != self.pid:
+            return
+        try:
+            self.conn.send(("event", event.to_dict()))
+        except (BrokenPipeError, OSError):
+            pass  # parent gone; the worker is about to die anyway
+
+
+def _worker_main(conn) -> None:
+    """Persistent worker: recv task → analyze → send result, until told
+    to stop. Events stream live through the same pipe (duplex); every
+    exception becomes an error payload — the process only dies on a
+    genuine crash (which the parent detects and records as
+    ``WorkerDied``)."""
     streamer = _PipeStreamer(conn)
     obs.add_hook(streamer)
     try:
@@ -230,21 +262,22 @@ def _shard_worker(conn, shard: int) -> None:
                 message = conn.recv()
             except EOFError:
                 break
-            if not (
-                isinstance(message, tuple) and message and message[0] == "task"
-            ):
-                break  # ("stop",) or anything unexpected: exit cleanly
+            if message[0] != "task":
+                break  # ("stop",): return, so at-exit finalizers run
             task = message[1]
-            if task.get("inject_crash"):
+            if task["inject_crash"]:
                 os._exit(23)
             try:
-                payload = _execute_app(
-                    task["name"],
-                    task["options"],
-                    task["inject_fail"],
-                    task["inject_hang_s"],
-                    task["inject_cache_corrupt"],
-                )
+                # this process was forked before the caller bound its log
+                # fields, so the task carries them
+                with obs_log.bind(**task["log"]):
+                    payload = _execute_app(
+                        task["name"],
+                        task["options"],
+                        task["inject_fail"],
+                        task["inject_hang_s"],
+                        task["inject_cache_corrupt"],
+                    )
             except BaseException as exc:  # noqa: BLE001 — isolation boundary
                 payload = _error_payload(exc)
             try:
@@ -256,32 +289,224 @@ def _shard_worker(conn, shard: int) -> None:
         conn.close()
 
 
+def _stuck_stage(events: List[Dict[str, object]]) -> Optional[str]:
+    """The innermost stage/span still open at the end of a partial event
+    stream — where a timed-out worker was when it was killed."""
+    stack: List[str] = []
+    for event in events:
+        kind = event.get("kind")
+        if kind in (obs.STAGE_START, obs.SPAN_START):
+            stack.append(str(event.get("stage")))
+        elif kind in (obs.STAGE_END, obs.SPAN_END) and stack:
+            stack.pop()
+    return stack[-1] if stack else None
+
+
 # ----------------------------------------------------------------------
-# the parent-side pool
+# the parent-side handle
 # ----------------------------------------------------------------------
-@dataclass
-class _Shard:
-    """Parent-side state of one worker process."""
-
-    index: int
-    proc: object = None
-    conn: object = None
-    current: Optional[WorkItem] = None
-    deadline: float = 0.0
-    started: float = 0.0
-    events: List[Dict[str, object]] = field(default_factory=list)
-    stopped: bool = False
+#: one fork at a time: a worker forked while another handle holds both
+#: ends of its new pipe would keep that pipe open, hiding the other
+#: worker's death from the parent
+_SPAWN_LOCK = threading.Lock()
 
 
+class WorkerHandle:
+    """The parent's side of one persistent worker process — the only way
+    whole-app analysis is forked.
+
+    The batch scheduler multiplexes several handles with
+    ``multiprocessing.connection.wait``; each serve worker thread owns
+    one. A handle runs one :class:`WorkItem` at a time under a wall-clock
+    deadline and turns every way the item can end into one record: the
+    worker's result, ``timeout`` (worker killed, stuck stage named) or a
+    ``WorkerDied`` error. A killed or dead worker is reaped on the spot;
+    :meth:`send` forks its replacement.
+
+    A handle belongs to one thread. The only call another thread may make
+    is ``proc.terminate()`` / ``proc.kill()``, which send a signal and
+    reap nothing.
+    """
+
+    def __init__(self, mp_context, index: int = 0) -> None:
+        self.mp_context = mp_context
+        self.index = index
+        self.proc = None
+        self.conn = None
+        self.item: Optional[WorkItem] = None
+        self.timeout_s = 0.0
+        self.started = 0.0
+        self.deadline = 0.0
+        self.events: List[Dict[str, object]] = []
+
+    @property
+    def busy(self) -> bool:
+        return self.item is not None
+
+    def spawn(self) -> None:
+        """Fork the worker process, unless one is already running."""
+        if self.proc is not None:
+            if self.proc.exitcode is None:
+                return
+            self._reap()  # died while idle
+        with _SPAWN_LOCK:
+            parent_conn, child_conn = self.mp_context.Pipe(duplex=True)
+            # NOT daemonic: a daemonic worker could not fork the
+            # refutation pool. Every exit path reaps it explicitly instead.
+            self.proc = self.mp_context.Process(
+                target=_worker_main, args=(child_conn,),
+                name=f"repro-worker-{self.index}",
+            )
+            self.proc.start()
+            child_conn.close()  # the pipe must EOF when the worker dies
+        self.conn = parent_conn
+
+    def send(
+        self,
+        item: WorkItem,
+        options_dict: Dict[str, object],
+        timeout_s: float,
+        log: Optional[Dict[str, object]] = None,
+    ) -> None:
+        """Start ``item`` under a ``timeout_s`` budget. ``log`` holds the
+        fields the worker binds on every log line of the analysis."""
+        self.spawn()
+        self.item = item
+        self.events = []
+        self.timeout_s = timeout_s
+        self.started = time.perf_counter()
+        self.deadline = self.started + timeout_s
+        task = {
+            "name": item.name,
+            "options": options_dict,
+            "inject_fail": item.inject_fail,
+            "inject_hang_s": item.inject_hang_s,
+            "inject_cache_corrupt": item.inject_cache_corrupt,
+            "inject_crash": item.inject_crash,
+            "log": dict(log or {}),
+        }
+        try:
+            self.conn.send(("task", task))
+        except OSError:
+            pass  # died just now: the next poll() records WorkerDied
+
+    def waitables(self) -> list:
+        """What ``connection.wait`` should watch: messages, and the death
+        of the worker even while its own children hold the pipe open."""
+        return [self.conn, self.proc.sentinel]
+
+    def poll(self) -> Optional[AppRunRecord]:
+        """Drain what the worker has sent. Return the item's record once
+        it has ended, else ``None``."""
+        # read the exit status first: whatever a dead worker wrote before
+        # it died is already in the pipe, so the drain below still sees it
+        dead = self.proc.exitcode is not None
+        while True:
+            try:
+                if not self.conn.poll(0):
+                    break
+                kind, body = self.conn.recv()
+            except (EOFError, OSError):
+                dead = True
+                break
+            if kind == "event":
+                self.events.append(body)
+                continue
+            record = AppRunRecord(app=self.item.name, **_record_kwargs(body))
+            if not record.events:
+                record.events = self.events
+            return self._settle(record)
+        if dead:
+            code = self._reap()
+            return self._failed(
+                STATUS_ERROR,
+                "WorkerDied",
+                f"worker {self.index} exited with code {code} "
+                "before reporting a result",
+            )
+        if time.perf_counter() >= self.deadline:
+            self.proc.terminate()
+            self._reap()
+            stuck = _stuck_stage(self.events)
+            record = self._failed(
+                STATUS_TIMEOUT,
+                "Timeout",
+                f"exceeded the {self.timeout_s:g}s per-app wall-clock budget"
+                + (f" (stuck in stage {stuck!r})" if stuck else ""),
+            )
+            if stuck:
+                record.error["stuck_stage"] = stuck
+            return record
+        return None
+
+    def result(self) -> AppRunRecord:
+        """Block until the item in flight ends; return its record."""
+        while True:
+            record = self.poll()
+            if record is not None:
+                return record
+            _conn_wait(
+                self.waitables(),
+                timeout=max(0.0, self.deadline - time.perf_counter()),
+            )
+
+    def stop(self, grace_s: float = _KILL_GRACE_S) -> None:
+        """Retire the worker. An idle one is asked to exit, so it returns
+        through the normal ``multiprocessing.Process`` path and its at-exit
+        finalizers run; a busy one is terminated. Whatever is still alive
+        after ``grace_s`` is killed."""
+        if self.proc is None:
+            return
+        if self.busy:
+            self.proc.terminate()
+        else:
+            try:
+                self.conn.send(("stop",))
+            except (BrokenPipeError, OSError):
+                pass
+        self._reap(grace_s)
+        self.item = None
+
+    def _reap(self, grace_s: float = _KILL_GRACE_S) -> Optional[int]:
+        """Join the worker (killing it after ``grace_s``), close the pipe,
+        and return the exit code."""
+        self.proc.join(grace_s)
+        if self.proc.is_alive():
+            self.proc.kill()
+            self.proc.join()
+        code = self.proc.exitcode
+        self.conn.close()
+        self.proc = self.conn = None
+        return code
+
+    def _failed(self, status: str, kind: str, message: str) -> AppRunRecord:
+        record = AppRunRecord(
+            app=self.item.name,
+            status=status,
+            events=self.events,
+            error={"type": kind, "message": message, "traceback": ""},
+        )
+        return self._settle(record)
+
+    def _settle(self, record: AppRunRecord) -> AppRunRecord:
+        record.elapsed_s = time.perf_counter() - self.started
+        record.isolated = True
+        self.item = None
+        return record
+
+
+# ----------------------------------------------------------------------
+# the batch pool
+# ----------------------------------------------------------------------
 def run_sharded(
     mp_context,
     items: Sequence[WorkItem],
     options_dict: Dict[str, object],
     shards: int,
     timeout_s: float,
-    on_batch: Optional[Callable[[List["AppRunRecord"]], None]] = None,
+    on_batch: Optional[Callable[[List[AppRunRecord]], None]] = None,
     progress: Optional[ProgressLine] = None,
-):
+) -> List[AppRunRecord]:
     """Run ``items`` through a pool of ``shards`` workers; return their
     :class:`~repro.corpus.driver.AppRunRecord` list **in input order**.
 
@@ -292,15 +517,6 @@ def run_sharded(
     ``timeout`` with the streamed partial events, a dead worker becomes a
     ``WorkerDied`` error and the shard is respawned.
     """
-    from repro.corpus.driver import (
-        _TERMINATE_GRACE_S,
-        STATUS_ERROR,
-        STATUS_TIMEOUT,
-        AppRunRecord,
-        _record_kwargs,
-        _stuck_stage,
-    )
-
     shards = max(1, min(int(shards), max(1, len(items))))
     plan = WorkPlan(items, shards)
     total = len(items)
@@ -314,40 +530,13 @@ def run_sharded(
     queue_gauge.set(plan.remaining())
     busy_gauge.set(0)
 
-    pool: List[_Shard] = [_Shard(index=i) for i in range(shards)]
+    pool = [WorkerHandle(mp_context, i) for i in range(shards)]
 
-    def spawn(shard: _Shard) -> None:
-        parent_conn, child_conn = mp_context.Pipe(duplex=True)
-        # NOT daemonic — a daemonic shard could not fork the refutation
-        # pool (same contract as the old per-app workers)
-        shard.proc = mp_context.Process(
-            target=_shard_worker, args=(child_conn, shard.index)
-        )
-        shard.proc.start()
-        child_conn.close()
-        shard.conn = parent_conn
-        shard.current = None
-        shard.events = []
-        shard.stopped = False
-
-    def kill(shard: _Shard) -> None:
-        shard.proc.terminate()
-        shard.proc.join(_TERMINATE_GRACE_S)
-        if shard.proc.is_alive():
-            shard.proc.kill()
-            shard.proc.join()
-        shard.conn.close()
-
-    def dispatch(shard: _Shard) -> None:
+    def dispatch(shard: WorkerHandle) -> None:
         """Hand the shard its next item, or stop it when the plan is dry."""
         taken = plan.take(shard.index)
         if taken is None:
-            try:
-                shard.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-            shard.stopped = True
-            shard.current = None
+            shard.stop()
             return
         item, stolen_from = taken
         if stolen_from is not None:
@@ -363,25 +552,9 @@ def run_sharded(
                 _log, "shard.steal", app=item.name,
                 shard=shard.index, victim=stolen_from,
             )
-        shard.current = item
-        shard.events = []
-        shard.started = time.perf_counter()
-        shard.deadline = shard.started + timeout_s
-        shard.conn.send(
-            (
-                "task",
-                {
-                    "name": item.name,
-                    "options": options_dict,
-                    "inject_fail": item.inject_fail,
-                    "inject_hang_s": item.inject_hang_s,
-                    "inject_cache_corrupt": item.inject_cache_corrupt,
-                    "inject_crash": item.inject_crash,
-                },
-            )
-        )
+        shard.send(item, options_dict, timeout_s)
         queue_gauge.set(plan.remaining())
-        busy_gauge.set(sum(1 for s in pool if s.current is not None))
+        busy_gauge.set(sum(1 for s in pool if s.busy))
         obs.emit(
             obs.RunEvent(
                 kind=EVENT_SHARD_START,
@@ -393,11 +566,8 @@ def run_sharded(
         if progress is not None:
             progress.start(shard.index, item.name)
 
-    def settle(shard: _Shard, record: "AppRunRecord") -> None:
-        """Account one finished item on ``shard`` and refill it."""
-        item = shard.current
-        record.elapsed_s = time.perf_counter() - shard.started
-        record.isolated = True
+    def settle(shard: WorkerHandle, item: WorkItem, record: AppRunRecord) -> None:
+        """Account one finished item on ``shard``."""
         records[item.index] = record
         app_seconds.observe(record.elapsed_s)
         obs.emit(
@@ -417,127 +587,33 @@ def run_sharded(
         )
         if progress is not None:
             progress.finish(shard.index, item.name, item.cost)
-        shard.current = None
-        finished.append(record)
-
-    for shard in pool:
-        spawn(shard)
-        dispatch(shard)
 
     try:
+        for shard in pool:
+            dispatch(shard)
         while len(records) < total:
-            busy = [s for s in pool if s.current is not None]
+            busy = [s for s in pool if s.busy]
             if not busy:  # defensive: plan drained but records missing
                 raise RuntimeError(
                     f"scheduler stalled: {len(records)}/{total} records"
                 )
+            wait_s = max(0.0, min(s.deadline for s in busy) - time.perf_counter())
+            _conn_wait([w for s in busy for w in s.waitables()], timeout=wait_s)
             finished: List[AppRunRecord] = []
-            now = time.perf_counter()
-            wait_s = max(0.0, min(s.deadline for s in busy) - now)
-            ready = _conn_wait([s.conn for s in busy], timeout=wait_s)
-            by_conn = {s.conn: s for s in busy}
-            for conn in ready:
-                shard = by_conn[conn]
-                died = False
-                while shard.current is not None:
-                    try:
-                        if not conn.poll(0):
-                            break
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        died = True
-                        break
-                    if (
-                        isinstance(message, tuple)
-                        and len(message) == 2
-                        and message[0] == "event"
-                    ):
-                        shard.events.append(message[1])
-                        continue
-                    payload = (
-                        message[1]
-                        if isinstance(message, tuple)
-                        and len(message) == 2
-                        and message[0] == "result"
-                        else message
-                    )
-                    record = AppRunRecord(
-                        app=shard.current.name, **_record_kwargs(payload)
-                    )
-                    if not record.events:
-                        record.events = shard.events
-                    settle(shard, record)
-                    dispatch(shard)
-                if died and shard.current is not None:
-                    item = shard.current
-                    shard.proc.join(_TERMINATE_GRACE_S)
-                    record = AppRunRecord(
-                        app=item.name,
-                        status=STATUS_ERROR,
-                        events=shard.events,
-                        error={
-                            "type": "WorkerDied",
-                            "message": (
-                                f"shard {shard.index} worker exited with code "
-                                f"{shard.proc.exitcode} before reporting a result"
-                            ),
-                            "traceback": "",
-                        },
-                    )
-                    settle(shard, record)
-                    shard.conn.close()
-                    spawn(shard)
-                    dispatch(shard)
-            # deadline sweep: kill anything past its per-app budget
-            now = time.perf_counter()
-            for shard in pool:
-                if shard.current is None or now < shard.deadline:
+            for shard in busy:
+                item = shard.item
+                record = shard.poll()
+                if record is None:
                     continue
-                item = shard.current
-                kill(shard)
-                stuck = _stuck_stage(shard.events)
-                error = {
-                    "type": "Timeout",
-                    "message": (
-                        f"exceeded the {timeout_s:g}s per-app wall-clock budget"
-                        + (f" (stuck in stage {stuck!r})" if stuck else "")
-                    ),
-                    "traceback": "",
-                }
-                if stuck:
-                    error["stuck_stage"] = stuck
-                record = AppRunRecord(
-                    app=item.name,
-                    status=STATUS_TIMEOUT,
-                    events=shard.events,
-                    error=error,
-                )
-                settle(shard, record)
-                spawn(shard)
+                settle(shard, item, record)
+                finished.append(record)
                 dispatch(shard)
-            busy_gauge.set(sum(1 for s in pool if s.current is not None))
+            busy_gauge.set(sum(1 for s in pool if s.busy))
             if finished and on_batch is not None:
                 on_batch(finished)
     finally:
         for shard in pool:
-            if shard.proc is None:
-                continue
-            if shard.current is not None:
-                kill(shard)
-            else:
-                if not shard.stopped:
-                    try:
-                        shard.conn.send(("stop",))
-                    except (BrokenPipeError, OSError):
-                        pass
-                shard.proc.join(_KILL_GRACE_S)
-                if shard.proc.is_alive():
-                    shard.proc.kill()
-                    shard.proc.join()
-                try:
-                    shard.conn.close()
-                except OSError:
-                    pass
+            shard.stop()
         queue_gauge.set(0)
         busy_gauge.set(0)
         if progress is not None:

@@ -6,12 +6,12 @@ this package keeps a process warm instead. One
 (stdlib ``ThreadingHTTPServer``), a persistent
 :class:`~repro.serve.workers.WorkerPool`, and a
 :class:`~repro.serve.jobs.JobStore` riding inside the run-history
-ledger. Workers call the detector as a library (forked per job for
-fault isolation) against the shared persistent substrate cache, so
-repeat submissions warm-start; results land in the ledger as ordinary
-runs, which is what makes serve-mode output diffable against CLI
-one-shot runs (`repro diff`) — the fingerprint-equivalence gate the
-bench suite enforces.
+ledger. Workers call the detector as a library (in persistent forked
+worker processes, for fault isolation) against the shared persistent
+substrate cache, so repeat submissions warm-start; results land in
+the ledger as ordinary runs, which is what makes serve-mode output
+diffable against CLI one-shot runs (`repro diff`) — the
+fingerprint-equivalence gate the bench suite enforces.
 
 See ``docs/operations.md`` ("Serving") for endpoints, the job
 lifecycle, and exit/HTTP code conventions.

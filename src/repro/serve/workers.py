@@ -5,20 +5,29 @@ N worker threads share one :class:`~repro.serve.jobs.JobStore` and one
 loops: claim the oldest queued job, run the detector, append the result
 to the ledger as one ``serve`` run, mark the job ``done``/``failed``.
 
-The detector runs as a **library inside a forked child per job** —
-exactly the corpus driver's isolation path
-(:func:`repro.corpus.driver._run_one_isolated`), reused here so a job
-that crashes the analysis, hangs past the budget, or corrupts its own
-heap takes down one fork, not the daemon: the worker thread survives,
-records the failure on the job, and claims the next one. Forking also
-gives every job a private metrics registry (scrape windows cannot
-interleave across concurrent jobs) while the **on-disk substrate cache
-is shared**, so a re-submitted app warm-starts from the previous job's
-substrate bundle (``pointsto.worklist_iterations == 0``).
+Each thread owns one **persistent worker process**, the same
+:class:`~repro.corpus.scheduler.WorkerHandle` the batch scheduler's
+shards use. :meth:`WorkerPool.start` forks all of them before any daemon
+thread runs; each job is sent to the thread's worker as a task carrying
+its log fields (``job_id``, ``app``, ``worker``), which the worker binds
+itself. A job that crashes the analysis or hangs past the budget takes
+down that one process: the job fails with ``WorkerDied`` or ``Timeout``,
+and the thread forks a replacement and claims the next job. Forks after
+start-up therefore happen only on such a respawn. Each worker scrapes
+its own metrics registry per job, so scrape windows cannot interleave
+across concurrent jobs, while the **on-disk substrate cache is shared**:
+a re-submitted app warm-starts from the previous job's substrate bundle
+(``pointsto.worklist_iterations == 0``).
 
-Platforms without ``fork`` degrade to in-process execution under a pool-
-wide lock: results stay exact, concurrency and enforced timeouts are
-lost, and the daemon says so at startup.
+:meth:`WorkerPool.stop` is bounded by about twice its grace period: idle
+workers are told to exit, busy ones are terminated, anything alive after
+the grace period is killed, and only then are the threads joined. A job
+cut off this way stays ``running``; :meth:`JobStore.recover` requeues it
+at the next start.
+
+Platforms without ``fork`` (and ``--no-isolation``) run jobs in-process
+under a pool-wide lock: results stay exact, concurrency and enforced
+timeouts are lost, and the daemon says so at startup.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import logging
 import multiprocessing
 import threading
 import time
+from multiprocessing.connection import wait as _conn_wait
 from typing import Dict, Optional
 
 from repro.core import SierraOptions
@@ -53,6 +63,10 @@ ALLOWED_JOB_OPTIONS = ANALYSIS_JOB_OPTIONS | INJECT_JOB_OPTIONS
 #: the corpus driver)
 _SERVED_STATUSES = ("ok", "degraded")
 
+#: seconds :meth:`WorkerPool.stop` gives workers to exit before killing
+#: them, and then gives the threads to finish
+STOP_GRACE_S = 2.0
+
 #: request/job latency buckets, in seconds (back-compat alias; the
 #: canonical definition lives with the other bucket presets)
 LATENCY_BUCKETS = metrics.TIME_BUCKETS
@@ -62,7 +76,7 @@ def merge_job_options(
     base: SierraOptions, job_options: Dict[str, object]
 ) -> Dict[str, object]:
     """The daemon's default options overlaid with one job's overrides,
-    as the plain dict the forked analysis child takes. Unknown keys
+    as the plain dict the analysis worker takes. Unknown keys
     raise ``ValueError`` (the server maps that to HTTP 400 at submit
     time; here it guards jobs enqueued by other writers)."""
     unknown = set(job_options) - ALLOWED_JOB_OPTIONS
@@ -101,6 +115,12 @@ class WorkerPool:
         self._threads: list = []
         self._stop = threading.Event()
         self._wake = threading.Event()
+        self._grace_s = STOP_GRACE_S
+        # guards "stopping?" + task dispatch, so stop() never misses a
+        # task that a thread sends as the pool stops
+        self._dispatch_lock = threading.Lock()
+        #: worker name -> its persistent worker process (isolated mode)
+        self._handles: Dict[str, object] = {}
         # per-worker heartbeat/claim state: updated on every loop tick
         # while idle, *frozen at claim time* while a job runs — so a
         # wedged worker's heartbeat age grows visibly in /healthz long
@@ -136,6 +156,16 @@ class WorkerPool:
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
+        """Fork every worker process, then start the threads: the forks
+        happen before any thread of this pool (or of the daemon, which
+        starts its other threads after this) exists."""
+        if self._mp_context is not None:
+            from repro.corpus.scheduler import WorkerHandle
+
+            for i in range(self.workers):
+                handle = WorkerHandle(self._mp_context, i)
+                handle.spawn()
+                self._handles[f"worker-{i}"] = handle
         for i in range(self.workers):
             thread = threading.Thread(
                 target=self._loop, args=(f"worker-{i}",), daemon=True,
@@ -144,11 +174,35 @@ class WorkerPool:
             thread.start()
             self._threads.append(thread)
 
-    def stop(self, timeout_s: float = 10.0) -> None:
-        self._stop.set()
-        self._wake.set()
+    def stop(self, grace_s: float = STOP_GRACE_S) -> None:
+        """Shut down within about ``2 * grace_s``. Idle workers are told
+        to exit; busy ones are terminated, and killed if still alive after
+        ``grace_s``. Then the threads get ``grace_s`` to finish. A job cut
+        off here is left ``running`` for :meth:`JobStore.recover`."""
+        self._grace_s = grace_s
+        with self._dispatch_lock:
+            self._stop.set()
+            busy = [h.proc for h in self._handles.values() if h.busy]
+        self._wake.set()  # idle threads wake, stop their workers, exit
+        busy = [proc for proc in busy if proc is not None]
+        # signals and sentinels only: the owning threads do the reaping
+        for proc in busy:
+            proc.terminate()
+        deadline = time.monotonic() + grace_s
+        while busy and time.monotonic() < deadline:
+            ready = _conn_wait(
+                [p.sentinel for p in busy], deadline - time.monotonic()
+            )
+            busy = [p for p in busy if p.sentinel not in ready]
+        for proc in busy:
+            proc.kill()
+        deadline = time.monotonic() + grace_s
         for thread in self._threads:
-            thread.join(timeout_s)
+            thread.join(max(0.0, deadline - time.monotonic()))
+        for i, thread in enumerate(self._threads):
+            proc = getattr(self._handles.get(f"worker-{i}"), "proc", None)
+            if thread.is_alive() and proc is not None:
+                proc.kill()  # its thread is wedged; do not leave the child
         self._threads = []
 
     def kick(self) -> None:
@@ -192,6 +246,7 @@ class WorkerPool:
 
     # -- the loop ------------------------------------------------------
     def _loop(self, worker_name: str) -> None:
+        handle = self._handles.get(worker_name)
         self._beat(worker_name, busy=False)
         while not self._stop.is_set():
             try:
@@ -199,7 +254,7 @@ class WorkerPool:
             except LedgerError:
                 # the store went away under us (daemon shutting down,
                 # ledger file unlinked) — nothing sane left to do here
-                return
+                break
             if job is None:
                 self._beat(worker_name, busy=False)
                 self._wake.wait(self.poll_interval_s)
@@ -211,7 +266,7 @@ class WorkerPool:
                 worker=worker_name,
             )
             try:
-                self._run_job(job, worker_name)
+                self._run_job(job, worker_name, handle)
             except Exception as exc:  # noqa: BLE001 — the thread must survive
                 try:
                     self.store.finish(
@@ -229,34 +284,41 @@ class WorkerPool:
                 )
             finally:
                 self._beat(worker_name, busy=False)
+        if handle is not None:
+            handle.stop(self._grace_s)
 
-    def _run_job(self, job: Job, worker_name: str) -> None:
-        from repro.corpus.driver import _run_one_inline, _run_one_isolated
+    def _run_job(self, job: Job, worker_name: str, handle) -> None:
+        from repro.corpus.driver import _run_one_inline
+        from repro.corpus.scheduler import WorkItem
 
         options_dict = merge_job_options(self.options, job.options)
         inject_fail = bool(job.options.get("inject_fail"))
         inject_hang_s = (
             self.job_timeout_s + 30.0 if job.options.get("inject_hang") else 0.0
         )
+        fields = {"job_id": job.job_id, "app": job.app, "worker": worker_name}
         t0 = time.perf_counter()
-        # bind the job's identity for the extent of the analysis: the
-        # forked child inherits the binding, so detector-stage log lines
-        # carry job_id/app with no plumbing through the driver
-        with obs_log.bind(job_id=job.job_id, app=job.app, worker=worker_name):
-            if self._mp_context is not None:
-                record = _run_one_isolated(
-                    self._mp_context,
-                    job.app,
-                    options_dict,
-                    self.job_timeout_s,
-                    inject_fail,
-                    inject_hang_s,
+        if handle is not None:
+            item = WorkItem(
+                index=0, name=job.app,
+                inject_fail=inject_fail, inject_hang_s=inject_hang_s,
+            )
+            with self._dispatch_lock:
+                if self._stop.is_set():
+                    return  # claimed as the pool stopped: left for recover()
+                handle.send(item, options_dict, self.job_timeout_s, log=fields)
+            record = handle.result()
+            with self._dispatch_lock:
+                if self._stop.is_set():
+                    if (record.error or {}).get("type") == "WorkerDied":
+                        return  # stop() ended the worker: left for recover()
+                else:
+                    handle.spawn()  # respawn a dead or timed-out worker now
+        else:
+            with self._inline_lock, obs_log.bind(**fields):
+                record = _run_one_inline(
+                    job.app, options_dict, inject_fail, inject_hang_s
                 )
-            else:
-                with self._inline_lock:
-                    record = _run_one_inline(
-                        job.app, options_dict, inject_fail, inject_hang_s
-                    )
         elapsed = time.perf_counter() - t0
 
         # one ledger run per job: the same row shape `repro analyze

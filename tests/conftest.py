@@ -6,6 +6,8 @@ read-only once built, so every test file can share one result per app.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.core import Sierra, SierraOptions
@@ -17,6 +19,19 @@ from repro.corpus import (
     build_receiver_app,
     synthesize_app,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_live_children_at_exit():
+    """Fail the run if any test leaves a live child process behind. The
+    leftovers are killed first, so a leak fails fast instead of holding
+    interpreter exit until the child's own budget runs out."""
+    yield
+    leaked = multiprocessing.active_children()
+    for proc in leaked:
+        proc.kill()
+        proc.join(5)
+    assert not leaked, f"tests left live child processes: {leaked}"
 
 
 @pytest.fixture(scope="session")

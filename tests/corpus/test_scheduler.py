@@ -138,6 +138,49 @@ class TestRunShardedDirect:
         assert [r.app for r in records] == names
 
 
+class TestWorkerHandle:
+    def test_worker_binds_the_log_fields_its_task_carries(self, tmp_path):
+        """A persistent worker is forked before its caller binds a job's
+        log fields, so the task carries them and the worker binds them on
+        its own stage log lines."""
+        import json
+        import os
+
+        from repro.obs import log as obs_log
+
+        path = tmp_path / "log.jsonl"
+        with open(path, "w") as stream:
+            obs_log.configure(level="debug", json_mode=True, stream=stream)
+            handle = sched.WorkerHandle(multiprocessing.get_context("fork"))
+            try:
+                handle.spawn()  # forked before any job exists
+                handle.send(
+                    sched.WorkItem(index=0, name="quickstart"),
+                    dataclasses.asdict(SierraOptions()),
+                    timeout_s=60.0,
+                    log={"job_id": "j-1", "worker": "worker-7"},
+                )
+                record = handle.result()
+            finally:
+                handle.stop()
+                obs_log.unconfigure()
+        assert record.status == STATUS_OK
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        child = [r for r in lines if r["pid"] != os.getpid()]
+        assert child, "the worker logged nothing"
+        assert all(r.get("job_id") == "j-1" for r in child)
+        assert all(r.get("worker") == "worker-7" for r in child)
+        assert all(r.get("app") == "quickstart" for r in child)
+
+    def test_idle_worker_exits_cleanly_on_stop(self):
+        handle = sched.WorkerHandle(multiprocessing.get_context("fork"))
+        handle.spawn()
+        proc = handle.proc
+        handle.stop()
+        assert proc.exitcode == 0  # returned, not terminated or killed
+        assert handle.proc is None and not handle.busy
+
+
 class TestDriverIntegration:
     def test_core_budget_lands_in_the_report(self):
         apps = seeded_corpus(count=2, seed=0, max_size=0)

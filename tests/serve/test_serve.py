@@ -8,7 +8,11 @@ their own ledger files.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
+import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -236,6 +240,59 @@ def test_serve_results_equal_cli_oneshot(daemon, client, quickstart_apk):
     assert diff["new_races"] == []
     assert diff["fixed_races"] == []
     assert diff["verdict_flips"] == []
+
+
+def _wait_until(predicate, timeout_s=30.0, interval_s=0.02):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        value = predicate()
+        if value:
+            return value
+        time.sleep(interval_s)
+    return predicate()
+
+
+def test_stop_is_bounded_with_a_job_in_flight(tmp_path):
+    """stop() cancels a hanging job's worker within its budget, leaves no
+    live child, and leaves the job ``running`` for recover() to requeue."""
+    history = str(tmp_path / "runs.sqlite")
+    daemon = ServeDaemon(history, workers=2, port=0)
+    daemon.start()
+    try:
+        handles = list(daemon.pool._handles.values())
+        procs = [h.proc for h in handles]
+        job = ServeClient(daemon.url).submit("quickstart", {"inject_hang": True})
+        # the task has reached a worker process (not just the claim)
+        assert _wait_until(lambda: any(h.busy for h in handles))
+    finally:
+        t0 = time.monotonic()
+        daemon.stop()
+        elapsed = time.monotonic() - t0
+    assert elapsed < 6.0
+    # the busy worker and the idle one are both gone
+    live = {p.pid for p in multiprocessing.active_children()}
+    assert len(procs) == 2 and not live & {p.pid for p in procs}
+    with JobStore(history) as store:
+        assert store.get(job["job_id"]).status == RUNNING
+        assert store.recover() == 1
+        assert store.get(job["job_id"]).status == QUEUED
+
+
+def test_sigkilled_worker_fails_job_and_is_respawned(tmp_path):
+    with ServeDaemon(str(tmp_path / "runs.sqlite"), workers=1, port=0) as daemon:
+        client = ServeClient(daemon.url)
+        handle = daemon.pool._handles["worker-0"]
+        job = client.submit("quickstart", {"inject_hang": True})
+        assert _wait_until(lambda: handle.busy)
+        killed = handle.proc.pid
+        os.kill(killed, signal.SIGKILL)
+
+        final = client.wait(str(job["job_id"]), timeout_s=30)
+        assert final["status"] == FAILED
+        assert final["error"]["type"] == "WorkerDied"
+        assert handle.proc is not None and handle.proc.pid != killed
+        ok = client.wait(str(client.submit("quickstart")["job_id"]), timeout_s=90)
+        assert ok["status"] == DONE
 
 
 def test_daemon_recovers_orphaned_jobs(tmp_path):
