@@ -1,530 +1,38 @@
 #!/usr/bin/env python
-"""Perf regression gate: re-bench the corpus and compare to the recording.
+"""Perf regression gate: re-run the bench suites and gate them against
+the committed ``BENCH_pipeline.json``.
 
-Usage (from the repo root):
+Usage (from anywhere; the default baseline is the repo's):
 
-    PYTHONPATH=src python benchmarks/run_bench.py            # gate (CI)
-    PYTHONPATH=src python benchmarks/run_bench.py --update   # refresh baseline
-    PYTHONPATH=src python benchmarks/run_bench.py --history perf.db
-                                                  # gate vs the run ledger
-    PYTHONPATH=src python benchmarks/run_bench.py --serve
-                                                  # serve/CLI equivalence gate
-    PYTHONPATH=src python benchmarks/run_bench.py --corpus
-                                                  # sharded-corpus gate
+    python benchmarks/run_bench.py                    # apps gate (CI)
+    python benchmarks/run_bench.py --corpus --profile # those suites' gates
+    python benchmarks/run_bench.py --warm --update    # re-record one block
+    python benchmarks/run_bench.py --history perf.db  # gate vs the ledger
 
-The gate re-runs the pipeline benches (skipping the slower naive-baseline
-speedup measurement so the whole run stays under a minute), then fails with
-exit code 1 if any stage of any app regressed more than 2x against the
-committed ``BENCH_pipeline.json``. ``--update`` instead re-runs the full
-suite — substrate speedups included — and rewrites the baseline in place.
-
-``--history <db>`` switches the baseline source to the run-history ledger:
-the bench records itself as a new ledger run and gates against the **last
-recorded bench run** via ``repro.obs.diffing`` (so the baseline rolls
-forward with every green run instead of living in a committed JSON file).
-The first run against an empty ledger records itself and passes. Exit 2 on
-a malformed ledger — corrupt history must never read as "no regressions".
-
-``--corpus`` re-runs the seeded family corpus through the sharded
-work-stealing scheduler with the exact parameters the baseline's ``corpus``
-block recorded (count, seed, families, shard counts). It exits 2 when
-ground-truth recall on the injected races drops below the recorded
-baseline or when sharded results diverge from the serial run, and exits 1
-when apps/sec at any recorded shard count regresses more than
-``--threshold``x. ``--corpus --update`` refreshes the block in place.
-
-``--profile`` re-runs one attribution-enabled analysis of the app the
-baseline's ``profile`` block recorded and validates the cost-attribution
-subsystem end to end: the block must carry all three pipeline stages, the
-collapsed-stack flamegraph export must parse back, and attribution
-coverage must not collapse below the recorded baseline (beyond
-``--coverage-slack``). Exit 2 on a malformed block or export — a broken
-profiler must never read as "no regressions" — and exit 1 on a coverage
-regression. ``--profile --update`` refreshes the block in place.
-
-The gate also runs one traced pipeline and validates the emitted Chrome
-trace-event JSON (required keys, monotonic per-track timestamps, balanced
-B/E pairs) — exit code 2 if the tracing subsystem ever emits a file
-``chrome://tracing`` would choke on.
+This is ``python -m repro bench``: the same driver
+(:func:`repro.perf.bench.run`) and the same flags. Each suite —
+``apps`` (the default), ``--warm``, ``--serve``, ``--corpus``,
+``--profile`` — re-runs with the parameters its recorded block names and
+exits 0 (ok), 1 (stage slowdown beyond ``--threshold``x, an effort
+counter that differs from the recording, throughput or coverage loss) or
+2 (missing/corrupt baseline or block, vanished app, malformed trace or
+profile, lost recall, sharded/serial, warm/cold or serve/CLI
+divergence). ``--update`` rewrites only the selected suites' blocks and
+keeps every other block of the baseline exactly.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import tempfile
-import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.cli import is_known_app, load_app  # noqa: E402
-from repro.perf import compare_to_baseline, run_bench  # noqa: E402
-
-BASELINE = REPO_ROOT / "BENCH_pipeline.json"
-
-#: app the trace-schema gate runs on: small enough to stay under a second
-TRACE_APP = "opensudoku"
-
-
-def validate_trace_gate(app: str = TRACE_APP) -> list:
-    """Run one traced pipeline and validate the emitted Chrome trace.
-
-    Returns the violation list from
-    :func:`repro.obs.validate_trace_file` — empty means the trace loads
-    cleanly in chrome://tracing / Perfetto.
-    """
-    from repro import obs
-    from repro.core import Sierra, SierraOptions
-
-    collector = obs.TraceCollector(process_name=f"sierra:{app}")
-    obs.add_hook(collector)
-    try:
-        Sierra(SierraOptions()).analyze(load_app(app))
-    finally:
-        obs.remove_hook(collector)
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        trace_path = fh.name
-    try:
-        collector.write(trace_path)
-        return obs.validate_trace_file(trace_path)
-    finally:
-        Path(trace_path).unlink(missing_ok=True)
-
-
-def gate_against_history(db_path: str, threshold: float) -> int:
-    """Record this bench into the ledger and gate against the previous one."""
-    from repro.obs.diffing import diff_runs, render_diff
-    from repro.obs.history import KIND_BENCH, LedgerError, RunLedger
-
-    try:
-        with RunLedger(db_path) as ledger:
-            had_baseline = bool(ledger.runs(kind=KIND_BENCH))
-        current = run_bench(speedup_app=None, out_path=None, history=db_path)
-        if not had_baseline:
-            print(f"recorded first bench run {current['run_id']} in {db_path}; "
-                  "nothing to gate against yet")
-            return 0
-        with RunLedger(db_path) as ledger:
-            # resolve by kind so interleaved analyze runs in a shared ledger
-            # never become the bench baseline; threshold here is a slowdown
-            # factor (2.0x) while diffing wants the relative increase
-            base = ledger.resolve("latest~1", kind=KIND_BENCH)
-            cand = ledger.resolve("latest", kind=KIND_BENCH)
-            diff = diff_runs(
-                ledger,
-                str(base["run_id"]),
-                str(cand["run_id"]),
-                time_threshold=threshold - 1.0,
-            )
-        print(render_diff(diff))
-        return diff.gate_exit_code()
-    except LedgerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def warm_gate(args) -> int:
-    """Cold-then-warm suite against the substrate cache.
-
-    Writes the combined record (cold baseline under ``apps``, warm section
-    under ``warm``) to ``--baseline`` only with ``--update``; always prints
-    per-app warm speedups and exits 2 when the ledger diff finds any warm
-    result diverging from its cold counterpart.
-    """
-    from repro.perf.bench import SPEEDUP_APP
-
-    cache_dir = args.cache or tempfile.mkdtemp(prefix="repro-cache-")
-    out_path = str(args.baseline) if args.update else None
-    data = run_bench(
-        # an updated baseline must stay a full one (speedup block included);
-        # a plain warm gate skips the slow naive-baseline measurement
-        speedup_app=SPEEDUP_APP if args.update else None,
-        out_path=out_path,
-        warm=True,
-        cache_dir=cache_dir,
-        history=args.history,
-    )
-    warm = data["warm"]
-    for app, record in warm["apps"].items():
-        print(f"{app:18s} cold={record['cold_total_s']:.3f}s "
-              f"warm={record['warm_total_s']:.3f}s "
-              f"({record['warm_speedup']:.1f}x, "
-              f"memo_hits={record['counters']['refutation_cache_hits']})")
-    equivalence = warm["equivalence"]
-    if not equivalence["identical"]:
-        print(f"\nWARM/COLD DIVERGENCE: {equivalence['divergences']} "
-              f"(diff runs {warm['cold_run']} vs {warm['warm_run']} in "
-              f"{warm['ledger']})", file=sys.stderr)
-        return 2
-    if out_path:
-        print(f"\nbaseline updated: {out_path}")
-    print("\nok: warm results identical to cold "
-          "(fingerprints and refutation verdicts)")
-    return 0
-
-
-def serve_gate(args) -> int:
-    """Daemon-under-load suite: throughput + serve/CLI equivalence.
-
-    Mirrors :func:`warm_gate` — always prints apps/sec and latency
-    percentiles; exits 2 when any app's serve-mode run diverges from its
-    CLI one-shot (race fingerprints or refutation verdicts). With
-    ``--update`` the full suite re-runs and the combined record (cold
-    baseline under ``apps``, daemon numbers under ``serve``) rewrites
-    ``--baseline``.
-    """
-    from repro.perf.bench import SPEEDUP_APP
-
-    cache_dir = args.cache or tempfile.mkdtemp(prefix="repro-cache-")
-    out_path = str(args.baseline) if args.update else None
-    data = run_bench(
-        speedup_app=SPEEDUP_APP if args.update else None,
-        out_path=out_path,
-        cache_dir=cache_dir,
-        history=args.history,
-        serve=True,
-    )
-    serve = data["serve"]
-    for app, record in serve["apps"].items():
-        print(f"{app:18s} job={record['job_status']:8s} "
-              f"latency={record['latency_s']:.3f}s "
-              f"equivalent={record.get('equivalent')}")
-    print(f"\n{serve['workers']} workers / concurrency "
-          f"{serve['concurrency']}: {serve['apps_per_s']:.2f} apps/s, "
-          f"p50={serve['latency_p50_s']:.3f}s p99={serve['latency_p99_s']:.3f}s")
-    equivalence = serve["equivalence"]
-    if not equivalence["identical"]:
-        print(f"\nSERVE/CLI DIVERGENCE: {equivalence['divergences']} "
-              f"(ledger {serve['ledger']})", file=sys.stderr)
-        return 2
-    if out_path:
-        print(f"baseline updated: {out_path}")
-    print("ok: serve results identical to CLI one-shots "
-          "(fingerprints and refutation verdicts)")
-    return 0
-
-
-def corpus_gate(args) -> int:
-    """Sharded-corpus suite: throughput per shard count + recall gate.
-
-    Re-runs :func:`repro.perf.bench.run_corpus_bench` with the parameters
-    the baseline's ``corpus`` block recorded so the comparison is
-    apples-to-apples. Exit 2 on a correctness break (recall below the
-    recorded baseline, or sharded results diverging from serial); exit 1
-    on a throughput regression beyond ``--threshold``x at any recorded
-    shard count. ``--update`` re-runs the full suite (corpus included)
-    and rewrites the baseline.
-    """
-    from repro.perf.bench import run_corpus_bench
-
-    if args.update:
-        data = run_bench(out_path=str(args.baseline), corpus=True)
-        block = data["corpus"]
-        print(f"baseline updated: {args.baseline} (corpus: "
-              f"{block['count']} apps, recall "
-              f"{block['ground_truth']['recall']:.3f})")
-        return 0
-
-    if not args.baseline.exists():
-        print(f"error: no baseline at {args.baseline}; run with "
-              "--corpus --update first", file=sys.stderr)
-        return 2
-    try:
-        baseline = json.loads(args.baseline.read_text())
-    except json.JSONDecodeError as exc:
-        print(f"error: baseline {args.baseline} is not valid JSON ({exc}); "
-              "run with --corpus --update to regenerate it", file=sys.stderr)
-        return 2
-    base = baseline.get("corpus")
-    if not base:
-        print(f"error: baseline {args.baseline} has no corpus block; "
-              "run with --corpus --update to record one", file=sys.stderr)
-        return 2
-
-    shard_counts = sorted(int(s) for s in base["shards"])
-    current = run_corpus_bench(
-        count=base["count"],
-        seed=base["seed"],
-        shard_counts=shard_counts,
-        families=base.get("families"),
-        max_size=base.get("max_size", 2),
-        timeout_s=base.get("timeout_s", 120.0),
-    )
-
-    for shards in shard_counts:
-        block = current["shards"][str(shards)]
-        recorded = base["shards"][str(shards)]
-        print(f"shards={shards}: {block['apps_per_s']:.2f} apps/s "
-              f"(recorded {recorded['apps_per_s']:.2f}), "
-              f"p50={block['latency_p50_s']:.3f}s "
-              f"p99={block['latency_p99_s']:.3f}s, "
-              f"steals={block['steals']}")
-    truth = current["ground_truth"]
-    base_truth = base["ground_truth"]
-    print(f"recall={truth['recall']:.3f} (recorded "
-          f"{base_truth['recall']:.3f}), precision={truth['precision']:.3f}, "
-          f"{truth['found']}/{truth['expected']} injected races found")
-
-    equivalence = current["equivalence"]
-    if not equivalence["identical"]:
-        print(f"\nSHARDED/SERIAL DIVERGENCE: {equivalence['divergences']}",
-              file=sys.stderr)
-        return 2
-    if truth["recall"] < base_truth["recall"] - 1e-9:
-        print(f"\nRECALL REGRESSION: {truth['recall']:.3f} < recorded "
-              f"{base_truth['recall']:.3f} "
-              f"({truth['found']}/{truth['expected']} found, "
-              f"{truth['apps_with_misses']} apps with misses)",
-              file=sys.stderr)
-        return 2
-
-    violations = []
-    for shards in shard_counts:
-        cur = current["shards"][str(shards)]["apps_per_s"]
-        rec = base["shards"][str(shards)]["apps_per_s"]
-        if cur * args.threshold < rec:
-            violations.append(
-                f"shards={shards}: {cur:.2f} apps/s is more than "
-                f"{args.threshold:g}x below the recorded {rec:.2f}")
-    if violations:
-        print("\nCORPUS THROUGHPUT REGRESSION:", file=sys.stderr)
-        for violation in violations:
-            print(f"  {violation}", file=sys.stderr)
-        return 1
-
-    print(f"\nok: recall held at {truth['recall']:.3f}, sharded results "
-          "identical to serial, throughput within "
-          f"{args.threshold:g}x of the recording")
-    return 0
-
-
-#: keys every profile block must carry — a baseline or re-run missing one
-#: is malformed, not merely slow
-_PROFILE_KEYS = ("app", "stages", "coverage", "self_overhead_s",
-                 "flamegraph_stacks")
-
-
-def _validate_profile_block(block, label: str) -> list:
-    """Structural checks on a ``profile`` block; returns violation strings."""
-    from repro.obs.profile import STAGE_NAMES
-
-    violations = []
-    if not isinstance(block, dict):
-        return [f"{label}: profile block is not an object"]
-    for key in _PROFILE_KEYS:
-        if key not in block:
-            violations.append(f"{label}: profile block missing key {key!r}")
-    stages = block.get("stages")
-    if isinstance(stages, dict):
-        for stage in STAGE_NAMES:
-            record = stages.get(stage)
-            if not isinstance(record, dict):
-                violations.append(
-                    f"{label}: profile block missing stage {stage!r}")
-            elif not isinstance(record.get("seconds"), (int, float)):
-                violations.append(
-                    f"{label}: stage {stage!r} has no seconds measurement")
-    else:
-        violations.append(f"{label}: profile stages is not an object")
-    coverage = block.get("coverage")
-    if not isinstance(coverage, (int, float)) or not 0.0 <= coverage <= 1.0:
-        violations.append(
-            f"{label}: coverage {coverage!r} is not in [0, 1]")
-    stacks = block.get("flamegraph_stacks")
-    if not isinstance(stacks, int) or stacks <= 0:
-        violations.append(
-            f"{label}: flamegraph_stacks {stacks!r} is not a positive count")
-    return violations
-
-
-def profile_gate(args) -> int:
-    """Cost-attribution suite: profile-block schema + coverage gate.
-
-    Re-runs one attribution-enabled analysis of the app the baseline's
-    ``profile`` block recorded, re-exports and re-parses the collapsed
-    flamegraph stacks, and compares attribution coverage. Exit 2 when
-    either side's block is malformed or the flamegraph export cannot be
-    parsed back; exit 1 when coverage collapses below the recording by
-    more than ``--coverage-slack``. ``--update`` re-runs the full suite
-    (profile block included) and rewrites the baseline.
-    """
-    from repro.perf.bench import run_profile_bench
-
-    if args.update:
-        data = run_bench(out_path=str(args.baseline), corpus=True,
-                         profile=True)
-        block = data["profile"]
-        print(f"baseline updated: {args.baseline} (profile: "
-              f"{block['app']}, coverage {block['coverage']:.3f})")
-        return 0
-
-    if not args.baseline.exists():
-        print(f"error: no baseline at {args.baseline}; run with "
-              "--profile --update first", file=sys.stderr)
-        return 2
-    try:
-        baseline = json.loads(args.baseline.read_text())
-    except json.JSONDecodeError as exc:
-        print(f"error: baseline {args.baseline} is not valid JSON ({exc}); "
-              "run with --profile --update to regenerate it", file=sys.stderr)
-        return 2
-    base = baseline.get("profile")
-    if not base:
-        print(f"error: baseline {args.baseline} has no profile block; "
-              "run with --profile --update to record one", file=sys.stderr)
-        return 2
-    violations = _validate_profile_block(base, "baseline")
-    if violations:
-        print("MALFORMED PROFILE BASELINE:", file=sys.stderr)
-        for violation in violations:
-            print(f"  {violation}", file=sys.stderr)
-        print("run with --profile --update to regenerate it", file=sys.stderr)
-        return 2
-
-    try:
-        # run_profile_bench round-trips the collapsed-stack export through
-        # parse_collapsed internally; a broken flamegraph surfaces here
-        current = run_profile_bench(app=base["app"])
-    except ValueError as exc:
-        print(f"MALFORMED FLAMEGRAPH EXPORT: {exc}", file=sys.stderr)
-        return 2
-    violations = _validate_profile_block(current, "current")
-    if violations:
-        print("MALFORMED PROFILE BLOCK:", file=sys.stderr)
-        for violation in violations:
-            print(f"  {violation}", file=sys.stderr)
-        return 2
-
-    base_cov = float(base["coverage"])
-    cur_cov = float(current["coverage"])
-    print(f"{current['app']:18s} coverage={cur_cov:.3f} "
-          f"(recorded {base_cov:.3f}), "
-          f"self_overhead={current['self_overhead_s']:.4f}s, "
-          f"{current['flamegraph_stacks']} flamegraph stacks")
-    for stage, record in current["stages"].items():
-        print(f"  {stage:12s} {record['seconds']:.3f}s "
-              f"coverage={record.get('coverage', 0.0):.3f}")
-
-    if cur_cov < base_cov - args.coverage_slack:
-        print(f"\nATTRIBUTION COVERAGE COLLAPSE: {cur_cov:.3f} is more than "
-              f"{args.coverage_slack:g} below the recorded {base_cov:.3f}",
-              file=sys.stderr)
-        return 1
-    print(f"\nok: attribution coverage held at {cur_cov:.3f} "
-          f"(recorded {base_cov:.3f}), flamegraph export round-trips")
-    return 0
+from repro.cli import main as repro_main  # noqa: E402
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--update", action="store_true",
-                        help="rewrite the committed baseline instead of gating")
-    parser.add_argument("--baseline", type=Path, default=BASELINE,
-                        help="baseline file (default: repo BENCH_pipeline.json)")
-    parser.add_argument("--threshold", type=float, default=2.0,
-                        help="allowed slowdown factor per stage (default 2.0)")
-    parser.add_argument("--history", metavar="DB", default=None,
-                        help="gate against the last bench run in this ledger "
-                        "instead of the committed baseline (records this run)")
-    parser.add_argument("--warm", action="store_true",
-                        help="cold-then-warm each app against a fresh "
-                        "substrate cache; gate warm/cold result equivalence "
-                        "(exit 2 on divergence) and report warm_speedup")
-    parser.add_argument("--cache", metavar="DIR", default=None,
-                        help="cache directory for --warm (default: a fresh "
-                        "temporary directory)")
-    parser.add_argument("--serve", action="store_true",
-                        help="bench an in-process serve daemon under load; "
-                        "gate serve/CLI result equivalence (exit 2 on "
-                        "divergence) and report apps/sec + p50/p99")
-    parser.add_argument("--corpus", action="store_true",
-                        help="re-run the seeded family corpus through the "
-                        "sharded scheduler with the baseline's recorded "
-                        "parameters; exit 2 if recall drops below the "
-                        "recording or sharded results diverge from serial, "
-                        "exit 1 on a throughput regression")
-    parser.add_argument("--profile", action="store_true",
-                        help="re-run one attribution-enabled analysis of the "
-                        "baseline's recorded profile app; exit 2 on a "
-                        "malformed profile block or flamegraph export, "
-                        "exit 1 on an attribution-coverage collapse")
-    parser.add_argument("--coverage-slack", type=float, default=0.10,
-                        help="allowed absolute drop in attribution coverage "
-                        "vs the recorded baseline for --profile "
-                        "(default 0.10)")
-    args = parser.parse_args(argv)
-
-    started = time.perf_counter()
-    if args.profile:
-        return profile_gate(args)
-    if args.corpus:
-        return corpus_gate(args)
-    if args.serve:
-        return serve_gate(args)
-    if args.warm:
-        return warm_gate(args)
-    if args.history:
-        return gate_against_history(args.history, args.threshold)
-    if args.update:
-        # a full refresh keeps the corpus and profile blocks too, so a plain
-        # --update never silently drops either recording
-        run_bench(out_path=str(args.baseline), corpus=True, profile=True)
-        print(f"baseline updated: {args.baseline} "
-              f"({time.perf_counter() - started:.1f}s)")
-        return 0
-
-    if not args.baseline.exists():
-        print(f"error: no baseline at {args.baseline}; run with --update first",
-              file=sys.stderr)
-        return 2
-
-    try:
-        baseline = json.loads(args.baseline.read_text())
-    except json.JSONDecodeError as exc:
-        print(f"error: baseline {args.baseline} is not valid JSON ({exc}); "
-              "run with --update to regenerate it", file=sys.stderr)
-        return 2
-
-    # gate exactly the apps the baseline recorded; a baseline naming an app
-    # the corpus no longer has must fail loudly, not silently skip it
-    baseline_apps = sorted(baseline.get("apps", {}))
-    if not baseline_apps:
-        print(f"error: baseline {args.baseline} records no apps; "
-              "run with --update to regenerate it", file=sys.stderr)
-        return 2
-    unknown = [app for app in baseline_apps if not is_known_app(app)]
-    if unknown:
-        print(f"error: baseline app(s) no longer in the corpus: "
-              f"{', '.join(unknown)}; run with --update to re-record",
-              file=sys.stderr)
-        return 2
-
-    trace_violations = validate_trace_gate()
-    if trace_violations:
-        print("MALFORMED TRACE (Chrome trace-event schema):", file=sys.stderr)
-        for violation in trace_violations:
-            print(f"  {violation}", file=sys.stderr)
-        return 2
-
-    current = run_bench(apps=baseline_apps, speedup_app=None, out_path=None)
-    elapsed = time.perf_counter() - started
-
-    violations = compare_to_baseline(current, baseline, threshold=args.threshold)
-    for app, record in current["apps"].items():
-        stages = record["stages"]
-        print(f"{app:18s} cg_pa={stages['cg_pa']:.3f}s "
-              f"hbg={stages['hbg']:.3f}s refutation={stages['refutation']:.3f}s")
-    if violations:
-        print(f"\nPERF REGRESSION ({elapsed:.1f}s):", file=sys.stderr)
-        for violation in violations:
-            print(f"  {violation}", file=sys.stderr)
-        return 1
-    print(f"\nok: no stage regressed more than {args.threshold}x "
-          f"({elapsed:.1f}s)")
-    return 0
+    return repro_main(["bench", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

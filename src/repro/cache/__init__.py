@@ -1,7 +1,8 @@
 """Persistent substrate cache + cross-run incremental analysis.
 
 Enabled with ``--cache <dir>`` (or the ``REPRO_CACHE`` environment
-variable) on ``analyze``, ``corpus-analyze`` and ``bench``. See
+variable) on ``analyze`` and ``corpus-analyze``; ``bench --warm`` runs
+against a fresh cache directory. See
 ``docs/performance.md`` ("Persistent substrate cache") for the key scheme,
 the invalidation story, and measured cold/warm numbers.
 """

@@ -208,7 +208,7 @@ class HBBuilder:
     def __init__(self, extraction: Extraction, closure=None):
         self.ext = extraction
         if closure is not None:
-            # dependency injection for differential testing / benchmarking:
+            # dependency injection for differential testing:
             # any object with the TransitiveClosure query interface works;
             # bit-row fast paths engage only when it provides row_after()
             self.shbg = SHBG(extraction.actions, closure=closure)

@@ -119,6 +119,16 @@ class SierraReport:
     def time_total(self) -> float:
         return self.time_cg_pa + self.time_hbg + self.time_refutation
 
+    def stage_timings(self) -> Dict[str, float]:
+        """Per-stage wall clock, rounded: the ``stages`` of BENCH and RUN
+        records and the ``timings_seconds`` of :meth:`to_dict`."""
+        return {
+            "cg_pa": round(self.time_cg_pa, 4),
+            "hbg": round(self.time_hbg, 4),
+            "refutation": round(self.time_refutation, 4),
+            "total": round(self.time_total, 4),
+        }
+
     def benign_guard_count(self) -> int:
         return sum(1 for r in self.reports if r.benign_guard)
 
@@ -178,14 +188,39 @@ class SierraReport:
             "racy_pairs_selected": self.racy_pairs_selected,
             "edges_by_rule": dict(self.edges_by_rule),
             "refutation": dict(self.refutation_stats),
-            "timings_seconds": {
-                "cg_pa": round(self.time_cg_pa, 4),
-                "hbg": round(self.time_hbg, 4),
-                "refutation": round(self.time_refutation, 4),
-                "total": round(self.time_total, 4),
-            },
+            "timings_seconds": self.stage_timings(),
             "reports": [self._report_dict(race) for race in self.reports],
         }
+
+
+#: BENCH/RUN counter vocabulary → the registry metric each one scrapes.
+#: Substrates register these where the work happens (``core/hb.py``,
+#: ``analysis/pointsto.py``, ``core/refute.py``, ``core/detector.py``);
+#: this table is only the rename into the stable report schema.
+COUNTER_METRICS: Dict[str, str] = {
+    "harnesses": "sierra.harnesses",
+    "actions": "sierra.actions",
+    "hb_edges": "sierra.hb_edges",
+    "closure_ops": "hb.closure_ops",
+    "pointsto_worklist_iterations": "pointsto.worklist_iterations",
+    "refutation_nodes_expanded": "refutation.nodes_expanded",
+    "refutation_cache_hits": "refutation.cache_hits",
+}
+
+
+def collect_counters() -> Dict[str, int]:
+    """Substrate effort counters of the most recent pipeline run.
+
+    Shared by the bench suites and the ``corpus-analyze`` batch driver so
+    both emit the same counter vocabulary. Values come from the
+    :mod:`repro.obs.metrics` registry — ``Sierra.analyze`` opens a fresh
+    scrape window (``reset_run``) per run, so the registry holds exactly
+    the finished run's effort.
+    """
+    from repro.obs import metrics
+
+    registry = metrics.registry()
+    return {key: int(registry.value(name)) for key, name in COUNTER_METRICS.items()}
 
 
 def format_table(rows: List[Dict[str, object]]) -> str:

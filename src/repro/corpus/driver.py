@@ -191,7 +191,7 @@ def _execute_app(
     from repro.core import Sierra, SierraOptions
     from repro.obs import metrics
     from repro.obs.history import race_row
-    from repro.perf import collect_counters, collect_stage_timings
+    from repro.core.report import collect_counters
 
     # bind the app for the extent of the analysis: every detector-stage
     # log line (bridged off the obs bus) carries it, in this process or
@@ -224,8 +224,8 @@ def _execute_app(
         metrics_blob["profile"] = result.profile
     return {
         "status": STATUS_DEGRADED if recorder.degraded else STATUS_OK,
-        "stages": collect_stage_timings(result),
-        "counters": collect_counters(result),
+        "stages": report.stage_timings(),
+        "counters": collect_counters(),
         "report": {
             "racy_pairs": report.racy_pairs,
             "races_after_refutation": report.races_after_refutation,

@@ -366,7 +366,6 @@ class RunLedger:
         still the current one.
         """
         from repro.obs import metrics
-        from repro.perf.bench import collect_stage_timings
 
         report = result.report
         metrics_blob = metrics.registry().collect()
@@ -379,7 +378,7 @@ class RunLedger:
             app,
             status="ok",
             elapsed_s=elapsed_s or report.time_total,
-            stages=collect_stage_timings(result),
+            stages=report.stage_timings(),
             metrics=metrics_blob,
             races=[race_row(r) for r in report.reports],
         )

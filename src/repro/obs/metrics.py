@@ -4,7 +4,7 @@ Substrates register metrics **where they live** — the HB builder owns
 ``hb.closure_ops``, the points-to solver owns
 ``pointsto.worklist_iterations``, the refutation engine owns
 ``refutation.*`` — and every consumer (``BENCH_pipeline.json`` via
-:func:`repro.perf.bench.collect_counters`, ``RUN_report.json`` via the
+:func:`repro.core.report.collect_counters`, ``RUN_report.json`` via the
 corpus driver, an operator poking at ``registry().collect()``) reads
 from this one source of truth instead of plumbing ad-hoc dicts through
 result objects.

@@ -1,33 +1,40 @@
-"""The benchmark harness behind ``python -m repro bench``.
+"""The benchmark driver behind ``python -m repro bench`` and
+``benchmarks/run_bench.py``.
 
-Runs the synthetic corpus through the full pipeline, records per-stage
-wall-clock timings plus substrate effort counters (closure row merges,
-points-to worklist iterations, refutation nodes expanded), and measures the
-HBG substrate against its naive baseline: build the real SHBG (all seven
-rules) over the app's extraction with the bitset closure and with
-:class:`~repro.util.graph.NaiveTransitiveClosure`, each side paying the
-Table 3 edge-count cost the way the respective pipeline served it.
+``BENCH_pipeline.json`` holds one block per bench suite. :data:`SUITES`
+has one entry per block, each a :class:`Suite` with two steps:
 
-The result is written to ``BENCH_pipeline.json`` so later changes have a
-recorded trajectory to regress against (``benchmarks/run_bench.py`` fails
-when any stage slows down more than 2x over the recording).
+* ``run(recorded, args) -> block`` re-runs the suite with the parameters
+  its recorded block names (app list, corpus seed, profile app; the
+  module constants below when no block is recorded);
+* ``check(current, recorded, args) -> (exit_code, lines)`` gates the
+  fresh block against the recording: 0 ok, 1 regression, 2 broken
+  (malformed recording, divergent results, lost recall).
+
+:func:`run` is the one driver: it loads the baseline once, runs and gates
+each selected suite, and under ``--update`` replaces only the selected
+suites' blocks, keeping every other block of the file exactly.
 """
 
 from __future__ import annotations
 
-import gc
 import json
-import platform
-import time
-from typing import Dict, List, Optional, Sequence
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import Sierra, SierraOptions
-from repro.util.graph import NaiveTransitiveClosure, TransitiveClosure
+from repro.core.report import COUNTER_METRICS, collect_counters
 
 #: JSON layout version of BENCH_pipeline.json
 SCHEMA = 1
 
-#: default corpus: the four figure apps plus three Table 2 stand-ins of
+#: the committed baseline at the root of the source tree
+BASELINE = Path(__file__).resolve().parents[3] / "BENCH_pipeline.json"
+
+#: apps of the ``apps``, ``warm`` and ``serve`` suites when no block is
+#: recorded: the four figure apps plus three Table 2 stand-ins of
 #: increasing size; "paper:K-9 Mail" is the largest synthetic-corpus app
 DEFAULT_APPS: List[str] = [
     "quickstart",
@@ -39,70 +46,43 @@ DEFAULT_APPS: List[str] = [
     "paper:K-9 Mail",
 ]
 
-#: the app the substrate speedups are measured on (largest corpus app)
-SPEEDUP_APP = "paper:K-9 Mail"
+#: the ``profile`` suite's app when no block is recorded
+PROFILE_APP = "paper:K-9 Mail"
+
+#: app the trace-schema gate runs on: small enough to stay under a second
+TRACE_APP = "opensudoku"
+
+#: the ``serve`` suite's daemon worker threads and load-generator clients
+SERVE_WORKERS = 2
+SERVE_CONCURRENCY = 4
+
+#: stages below this baseline duration are noise, not signal
+_REGRESSION_FLOOR_S = 0.05
+
+
+class GateError(Exception):
+    """A suite cannot produce a block worth gating (exit ``code``)."""
+
+    def __init__(self, code: int, lines: List[str]):
+        super().__init__("\n".join(lines))
+        self.code = code
+        self.lines = lines
 
 
 def _load_app(name: str):
-    # lazy import: repro.cli imports repro.perf for the bench subcommand
+    # lazy import: repro.cli imports this module for the bench subcommand
     from repro.cli import load_app
 
     return load_app(name)
 
 
-# ----------------------------------------------------------------------
-# pipeline benching
-# ----------------------------------------------------------------------
-def collect_stage_timings(result) -> Dict[str, float]:
-    """Per-stage wall clock of a :class:`~repro.core.SierraResult`."""
-    report = result.report
-    return {
-        "cg_pa": round(report.time_cg_pa, 4),
-        "hbg": round(report.time_hbg, 4),
-        "refutation": round(report.time_refutation, 4),
-        "total": round(report.time_total, 4),
-    }
-
-
-#: BENCH/RUN counter vocabulary → the registry metric each one scrapes.
-#: Substrates register these where the work happens (``core/hb.py``,
-#: ``analysis/pointsto.py``, ``core/refute.py``, ``core/detector.py``);
-#: this table is only the rename into the stable report schema.
-COUNTER_METRICS: Dict[str, str] = {
-    "harnesses": "sierra.harnesses",
-    "actions": "sierra.actions",
-    "hb_edges": "sierra.hb_edges",
-    "closure_ops": "hb.closure_ops",
-    "pointsto_worklist_iterations": "pointsto.worklist_iterations",
-    "refutation_nodes_expanded": "refutation.nodes_expanded",
-    "refutation_cache_hits": "refutation.cache_hits",
-}
-
-
-def collect_counters(result=None) -> Dict[str, int]:
-    """Substrate effort counters of the most recent pipeline run.
-
-    Shared by the bench harness and the ``corpus-analyze`` batch driver so
-    both emit the same counter vocabulary. Values come from the
-    :mod:`repro.obs.metrics` registry — ``Sierra.analyze`` opens a fresh
-    scrape window (``reset_run``) per run, so the registry holds exactly
-    the finished run's effort. ``result`` is kept in the signature for
-    call-site symmetry with :func:`collect_stage_timings`; it is unused.
-    """
-    from repro.obs import metrics
-
-    registry = metrics.registry()
-    return {key: int(registry.value(name)) for key, name in COUNTER_METRICS.items()}
-
-
 def _bench_app_result(name: str, options: Optional[SierraOptions] = None):
     """One pipeline run: (BENCH record, full SierraResult)."""
-    apk = _load_app(name)
-    result = Sierra(options or SierraOptions()).analyze(apk)
+    result = Sierra(options or SierraOptions()).analyze(_load_app(name))
     report = result.report
     record = {
-        "stages": collect_stage_timings(result),
-        "counters": collect_counters(result),
+        "stages": report.stage_timings(),
+        "counters": collect_counters(),
         "report": {
             "racy_pairs": report.racy_pairs,
             "races_after_refutation": report.races_after_refutation,
@@ -112,64 +92,36 @@ def _bench_app_result(name: str, options: Optional[SierraOptions] = None):
     return record, result
 
 
-def bench_app(name: str, options: Optional[SierraOptions] = None) -> Dict[str, object]:
-    """Run the pipeline once and record stage timings + effort counters."""
-    record, _result = _bench_app_result(name, options)
-    return record
+def bench_apps(apps: Sequence[str]) -> Dict[str, object]:
+    """The ``apps`` block: stage timings, effort counters and report
+    figures of one uncached, serial pipeline run per app."""
+    return {name: _bench_app_result(name)[0] for name in apps}
 
 
-# ----------------------------------------------------------------------
-# substrate benches (fast implementation vs the seed's naive baseline)
-# ----------------------------------------------------------------------
-def bench_hbg(name: str = SPEEDUP_APP, repeats: int = 3) -> Dict[str, object]:
-    """HBG stage with the bitset closure vs the naive set-based closure.
+def validate_trace_gate(app: str = TRACE_APP) -> list:
+    """Run one traced pipeline and validate the emitted Chrome trace.
 
-    Both builds run the real rule pipeline on the app's real extraction; the
-    closure implementation is injected. The naive side also pays the seed's
-    Table 3 cost (``closure_edges()`` materialized for the edge count and
-    again for the ordered fraction), the bitset side popcounts. One warmup
-    build per side fills the extraction's shared dominance/ICFG caches, then
-    the best of ``repeats`` is kept.
+    Returns the violation list from
+    :func:`repro.obs.validate_trace_file` — empty means the trace loads
+    cleanly in chrome://tracing / Perfetto.
     """
-    from repro.analysis.context import make_selector
-    from repro.core.extract import extract_actions
-    from repro.core.harness import generate_harnesses
-    from repro.core.hb import build_shbg
+    import tempfile
 
-    apk = _load_app(name)
-    harness, phase_a = generate_harnesses(apk)
-    ext = extract_actions(
-        apk, harness, selector=make_selector("action", 2), phase_a_seed=(phase_a, ())
-    )
+    from repro import obs
 
-    def run(closure_factory, seed_cost: bool):
-        t0 = time.perf_counter()
-        shbg = build_shbg(ext, closure=closure_factory())
-        if seed_cost:  # what the pre-bitset pipeline did, twice per report
-            count = len(shbg.closure.closure_edges())
-            count = len(shbg.closure.closure_edges())
-        else:
-            count = shbg.hb_edge_count()
-            count = shbg.hb_edge_count()
-        return time.perf_counter() - t0, count, shbg.edges_by_rule()
-
-    run(NaiveTransitiveClosure, True)  # warmup (shared caches)
-    run(TransitiveClosure, False)
-    gc.collect()
-    naive = min((run(NaiveTransitiveClosure, True) for _ in range(repeats)),
-                key=lambda r: r[0])
-    gc.collect()
-    bitset = min((run(TransitiveClosure, False) for _ in range(repeats)),
-                 key=lambda r: r[0])
-    assert naive[1:] == bitset[1:], "closure implementations disagree"
-    return {
-        "app": name,
-        "actions": len(ext.actions),
-        "hb_edges": naive[1],
-        "naive_s": round(naive[0], 4),
-        "bitset_s": round(bitset[0], 4),
-        "speedup": round(naive[0] / bitset[0], 2) if bitset[0] else float("inf"),
-    }
+    collector = obs.TraceCollector(process_name=f"sierra:{app}")
+    obs.add_hook(collector)
+    try:
+        Sierra(SierraOptions()).analyze(_load_app(app))
+    finally:
+        obs.remove_hook(collector)
+    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
+        trace_path = fh.name
+    try:
+        collector.write(trace_path)
+        return obs.validate_trace_file(trace_path)
+    finally:
+        Path(trace_path).unlink(missing_ok=True)
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +152,6 @@ def _warm_counters() -> Dict[str, int]:
 def run_warm_bench(
     apps: Sequence[str],
     cache_dir: str,
-    parallelism: int = 1,
     history: Optional[str] = None,
 ) -> Dict[str, object]:
     """Cold-then-warm per app against the persistent substrate cache.
@@ -223,7 +174,7 @@ def run_warm_bench(
     from repro.obs.diffing import diff_runs
     from repro.obs.history import KIND_ANALYZE, RunLedger
 
-    options = SierraOptions(parallelism=parallelism, cache_dir=cache_dir)
+    options = SierraOptions(cache_dir=cache_dir)
     os.makedirs(cache_dir, exist_ok=True)
     ledger_path = history or os.path.join(cache_dir, "warm_equivalence.sqlite")
     passes: Dict[str, Dict[str, object]] = {}
@@ -288,8 +239,8 @@ def run_warm_bench(
 # ----------------------------------------------------------------------
 def run_serve_bench(
     apps: Sequence[str],
-    workers: int = 2,
-    concurrency: int = 4,
+    workers: int = SERVE_WORKERS,
+    concurrency: int = SERVE_CONCURRENCY,
     history: Optional[str] = None,
     cache_dir: Optional[str] = None,
     job_timeout_s: float = 120.0,
@@ -311,8 +262,7 @@ def run_serve_bench(
     (:func:`repro.obs.diffing.diff_runs`): the daemon is only a faster
     front end if race fingerprints and refutation verdicts are
     *identical*, so any divergence marks the block non-equivalent
-    (``repro bench --serve`` and ``benchmarks/run_bench.py --serve``
-    exit 2 on that).
+    (``repro bench --serve`` exits 2 on that).
     """
     import dataclasses
     import os
@@ -449,8 +399,8 @@ def run_corpus_bench(
       reorder work, never change results;
     * **ground truth** — the 1-shard run's detected race fields scored
       against each app's injected :class:`GroundTruth` manifest
-      (micro-averaged recall/precision), which the regression gate in
-      ``benchmarks/run_bench.py --corpus`` tracks across commits.
+      (micro-averaged recall/precision), which the ``corpus`` suite's
+      check tracks across commits.
     """
     from repro.corpus.driver import run_corpus
     from repro.corpus.families import (
@@ -556,7 +506,7 @@ def run_corpus_bench(
     }
 
 
-def run_profile_bench(app: str = SPEEDUP_APP) -> Dict[str, object]:
+def run_profile_bench(app: str = PROFILE_APP) -> Dict[str, object]:
     """One profiled pipeline run — the BENCH record's ``profile`` block.
 
     Runs ``app`` with cost attribution enabled
@@ -591,152 +541,21 @@ def run_profile_bench(app: str = SPEEDUP_APP) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# driver + regression gate
+# the suites: run with the recorded parameters, gate against the record
 # ----------------------------------------------------------------------
-def run_bench(
-    apps: Sequence[str] = DEFAULT_APPS,
-    speedup_app: Optional[str] = SPEEDUP_APP,
-    out_path: Optional[str] = "BENCH_pipeline.json",
-    parallelism: int = 1,
-    history: Optional[str] = None,
-    cache_dir: Optional[str] = None,
-    warm: bool = False,
-    serve: bool = False,
-    serve_workers: int = 2,
-    serve_concurrency: int = 4,
-    corpus: bool = False,
-    corpus_count: int = 100,
-    corpus_seed: int = 0,
-    corpus_shards: Optional[Sequence[int]] = None,
-    corpus_max_size: int = 2,
-    profile: bool = False,
-    profile_app: Optional[str] = None,
-) -> Dict[str, object]:
-    """Run the full bench suite; write and return the BENCH record.
-
-    ``history`` names a run-history ledger db: the suite appends one
-    ``bench`` run with a per-app row (stages + counters scrape; bench runs
-    carry no race rows) so ``repro diff`` can gate timings across bench
-    runs. A malformed ledger raises
-    :class:`~repro.obs.history.LedgerError` before any bench runs.
-
-    ``warm=True`` (requires ``cache_dir``) additionally runs
-    :func:`run_warm_bench` and attaches its record under ``"warm"``. The
-    per-app numbers under ``"apps"`` are the warm suite's *cold* pass, so
-    the written file stays a valid cold baseline for the regression gate.
-
-    ``serve=True`` additionally runs :func:`run_serve_bench` — an
-    in-process daemon under load — and attaches throughput (apps/sec),
-    client latency percentiles (p50/p99) and the serve/CLI equivalence
-    verdict under ``"serve"``.
-
-    ``corpus=True`` additionally runs :func:`run_corpus_bench` — a seeded
-    family corpus through the sharded scheduler at several widths — and
-    attaches apps/sec per shard count, scaling efficiency, sharded-vs-
-    serial equivalence and ground-truth recall/precision under
-    ``"corpus"``.
-
-    ``profile=True`` additionally runs :func:`run_profile_bench` — one
-    attribution-enabled run of ``profile_app`` (default: the speedup
-    app) — and attaches coverage, self-overhead, flamegraph stack count
-    and top attributed units under ``"profile"``.
-    """
-    if warm and not cache_dir:
-        raise ValueError("warm bench requires a cache directory")
-    ledger = None
-    if history:
-        from repro.obs.history import KIND_BENCH, RunLedger
-
-        ledger = RunLedger(history)
-    options = SierraOptions(parallelism=parallelism)
-    data: Dict[str, object] = {
-        "schema": SCHEMA,
-        "python": platform.python_version(),
-        "parallelism": parallelism,
-    }
-    # substrate speedups first, on a fresh heap: the pipeline runs below
-    # leave megabytes of live objects behind, and gen-2 collections inside
-    # the timed loops would tax the fast (sub-100ms) sides hardest
-    if speedup_app is not None:
-        data["speedup"] = {"app": speedup_app, "hbg": bench_hbg(speedup_app)}
-    if warm:
-        warm_data = run_warm_bench(
-            apps, cache_dir, parallelism=parallelism, history=history
-        )
-        # the warm suite's cold pass doubles as this record's app numbers:
-        # the written file stays a valid cold baseline
-        data["apps"] = warm_data.pop("cold_apps")
-        data["warm"] = warm_data
-    else:
-        if cache_dir:
-            options = SierraOptions(parallelism=parallelism, cache_dir=cache_dir)
-            data["cache_dir"] = cache_dir
-        data["apps"] = {name: bench_app(name, options) for name in apps}
-    if serve:
-        data["serve"] = run_serve_bench(
-            apps,
-            workers=serve_workers,
-            concurrency=serve_concurrency,
-            cache_dir=cache_dir,
-        )
-    if corpus:
-        data["corpus"] = run_corpus_bench(
-            count=corpus_count,
-            seed=corpus_seed,
-            shard_counts=corpus_shards,
-            max_size=corpus_max_size,
-        )
-    if profile:
-        data["profile"] = run_profile_bench(
-            profile_app or speedup_app or SPEEDUP_APP
-        )
-    if ledger is not None:
-        try:
-            run_id = ledger.begin_run(
-                KIND_BENCH,
-                {"apps": list(apps), "parallelism": parallelism},
-                meta={"speedup_app": speedup_app},
-            )
-            for name, record in data["apps"].items():
-                ledger.record_app(
-                    run_id,
-                    name,
-                    status="ok",
-                    elapsed_s=record["stages"].get("total", 0.0),
-                    stages=record["stages"],
-                    metrics={k: {"type": "counter", "value": v}
-                             for k, v in record["counters"].items()},
-                    races=(),
-                )
-            data["run_id"] = run_id
-            data["history"] = history
-        finally:
-            ledger.close()
-    if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return data
-
-
-#: stages below this baseline duration are noise, not signal
-_REGRESSION_FLOOR_S = 0.05
-
-
 def compare_to_baseline(
     current: Dict[str, object],
-    baseline: Dict[str, object],
+    recorded: Dict[str, object],
     threshold: float = 2.0,
 ) -> List[str]:
-    """Stage-level regressions of ``current`` against ``baseline``.
+    """Stage-level regressions of an ``apps`` block against its recording.
 
     Returns human-readable violation strings; empty means no stage of any
-    app shared by both records slowed down more than ``threshold``x.
+    app shared by both blocks slowed down more than ``threshold``x.
     """
     violations: List[str] = []
-    base_apps = baseline.get("apps", {})
-    for app, record in current.get("apps", {}).items():
-        base_record = base_apps.get(app)
+    for app, record in current.items():
+        base_record = recorded.get(app)
         if base_record is None:
             continue
         for stage, seconds in record["stages"].items():
@@ -750,3 +569,420 @@ def compare_to_baseline(
                     f"({base_seconds:.3f}s)"
                 )
     return violations
+
+
+def counter_mismatches(
+    current: Dict[str, object], recorded: Dict[str, object]
+) -> List[str]:
+    """Effort counters of an ``apps`` block that differ from the recording.
+
+    The counters are deterministic, so every one of
+    :data:`COUNTER_METRICS` must equal its recorded value exactly; a
+    recorded app without a ``counters`` entry gates timings only.
+    """
+    mismatches: List[str] = []
+    for app, record in current.items():
+        base_counters = recorded.get(app, {}).get("counters")
+        if base_counters is None:
+            continue
+        for key in COUNTER_METRICS:
+            measured = record["counters"][key]
+            if base_counters.get(key) != measured:
+                mismatches.append(
+                    f"{app}/{key} {base_counters.get(key)}->{measured}"
+                )
+    return mismatches
+
+
+def _run_apps(recorded, args) -> Dict[str, object]:
+    from repro.cli import is_known_app
+
+    # gate exactly the apps the baseline recorded; a baseline naming an
+    # app the corpus no longer has must fail loudly, not silently skip it
+    apps = sorted(recorded or DEFAULT_APPS)
+    unknown = [app for app in apps if not is_known_app(app)]
+    if unknown and not args.update:
+        raise GateError(2, [
+            "error: baseline app(s) no longer in the corpus: "
+            f"{', '.join(unknown)}; run with --update to re-record"])
+    apps = [app for app in apps if app not in unknown] or DEFAULT_APPS
+    violations = validate_trace_gate()
+    if violations:
+        raise GateError(2, ["MALFORMED TRACE (Chrome trace-event schema):"]
+                        + [f"  {v}" for v in violations])
+    return bench_apps(apps)
+
+
+def _check_apps(current, recorded, args) -> Tuple[int, List[str]]:
+    lines = [
+        f"{app:18s} cg_pa={r['stages']['cg_pa']:.3f}s "
+        f"hbg={r['stages']['hbg']:.3f}s "
+        f"refutation={r['stages']['refutation']:.3f}s"
+        for app, r in current.items()
+    ]
+    if recorded is None:
+        return 0, lines
+    code = 0
+    regressions = compare_to_baseline(current, recorded, args.threshold)
+    if regressions:
+        code = 1
+        lines += ["", "PERF REGRESSION:"] + [f"  {v}" for v in regressions]
+    mismatches = counter_mismatches(current, recorded)
+    if mismatches:
+        code = 1
+        lines += ["", "EFFORT COUNTER MISMATCH (recorded->measured; "
+                  "re-record with --update if the change is intended):"]
+        lines += [f"  {m}" for m in mismatches]
+    if not code:
+        lines += ["", f"ok: no stage regressed more than {args.threshold}x, "
+                  "effort counters equal the recording"]
+    return code, lines
+
+
+def _recorded_apps(recorded) -> List[str]:
+    return list((recorded or {}).get("apps") or DEFAULT_APPS)
+
+
+def _temp_cache(args) -> str:
+    import tempfile
+
+    return args.cache or tempfile.mkdtemp(prefix="repro-cache-")
+
+
+def _run_warm(recorded, args) -> Dict[str, object]:
+    return run_warm_bench(
+        _recorded_apps(recorded), _temp_cache(args), history=args.history
+    )
+
+
+def _check_warm(current, recorded, args) -> Tuple[int, List[str]]:
+    lines = [
+        f"{app:18s} cold={r['cold_total_s']:.3f}s "
+        f"warm={r['warm_total_s']:.3f}s ({r['warm_speedup']:.1f}x, "
+        f"memo_hits={r['counters']['refutation_cache_hits']})"
+        for app, r in current["apps"].items()
+    ]
+    equivalence = current["equivalence"]
+    if not equivalence["identical"]:
+        return 2, lines + [
+            "", f"WARM/COLD DIVERGENCE: {equivalence['divergences']} "
+            f"(diff runs {current['cold_run']} vs {current['warm_run']} in "
+            f"{current['ledger']})"]
+    return 0, lines + ["", "ok: warm results identical to cold "
+                       "(fingerprints and refutation verdicts)"]
+
+
+def _run_serve(recorded, args) -> Dict[str, object]:
+    recorded = recorded or {}
+    return run_serve_bench(
+        _recorded_apps(recorded),
+        workers=recorded.get("workers", SERVE_WORKERS),
+        concurrency=recorded.get("concurrency", SERVE_CONCURRENCY),
+        cache_dir=_temp_cache(args),
+    )
+
+
+def _check_serve(current, recorded, args) -> Tuple[int, List[str]]:
+    lines = [
+        f"{app:18s} job={r['job_status']:8s} latency={r['latency_s']:.3f}s "
+        f"equivalent={r.get('equivalent')}"
+        for app, r in current["apps"].items()
+    ]
+    lines += ["", f"{current['workers']} workers / concurrency "
+              f"{current['concurrency']}: {current['apps_per_s']:.2f} apps/s, "
+              f"p50={current['latency_p50_s']:.3f}s "
+              f"p99={current['latency_p99_s']:.3f}s"]
+    equivalence = current["equivalence"]
+    if not equivalence["identical"]:
+        return 2, lines + [
+            "", f"SERVE/CLI DIVERGENCE: {equivalence['divergences']} "
+            f"(ledger {current['ledger']})"]
+    return 0, lines + ["ok: serve results identical to CLI one-shots "
+                       "(fingerprints and refutation verdicts)"]
+
+
+def _run_corpus(recorded, args) -> Dict[str, object]:
+    if not recorded:
+        return run_corpus_bench()
+    return run_corpus_bench(
+        count=recorded["count"],
+        seed=recorded["seed"],
+        shard_counts=sorted(int(s) for s in recorded["shards"]),
+        families=recorded.get("families"),
+        max_size=recorded.get("max_size", 2),
+        timeout_s=recorded.get("timeout_s", 120.0),
+    )
+
+
+def _check_corpus(current, recorded, args) -> Tuple[int, List[str]]:
+    recorded_shards = (recorded or {}).get("shards", {})
+    lines = []
+    for shards, block in sorted(current["shards"].items(), key=lambda kv: int(kv[0])):
+        was = recorded_shards.get(shards, {}).get("apps_per_s")
+        lines.append(
+            f"shards={shards}: {block['apps_per_s']:.2f} apps/s"
+            + (f" (recorded {was:.2f})" if was is not None else "")
+            + f", p50={block['latency_p50_s']:.3f}s "
+            f"p99={block['latency_p99_s']:.3f}s, steals={block['steals']}")
+    truth = current["ground_truth"]
+    base_truth = (recorded or {}).get("ground_truth")
+    lines.append(
+        f"recall={truth['recall']:.3f}"
+        + (f" (recorded {base_truth['recall']:.3f})" if base_truth else "")
+        + f", precision={truth['precision']:.3f}, "
+        f"{truth['found']}/{truth['expected']} injected races found")
+
+    equivalence = current["equivalence"]
+    if not equivalence["identical"]:
+        return 2, lines + [
+            "", f"SHARDED/SERIAL DIVERGENCE: {equivalence['divergences']}"]
+    if recorded is None:
+        return 0, lines
+    if truth["recall"] < base_truth["recall"] - 1e-9:
+        return 2, lines + [
+            "", f"RECALL REGRESSION: {truth['recall']:.3f} < recorded "
+            f"{base_truth['recall']:.3f} "
+            f"({truth['found']}/{truth['expected']} found, "
+            f"{truth['apps_with_misses']} apps with misses)"]
+
+    violations = []
+    for shards, block in recorded_shards.items():
+        cur = current["shards"][shards]["apps_per_s"]
+        rec = block["apps_per_s"]
+        if cur * args.threshold < rec:
+            violations.append(
+                f"  shards={shards}: {cur:.2f} apps/s is more than "
+                f"{args.threshold:g}x below the recorded {rec:.2f}")
+    if violations:
+        return 1, lines + ["", "CORPUS THROUGHPUT REGRESSION:"] + violations
+    return 0, lines + [
+        "", f"ok: recall held at {truth['recall']:.3f}, sharded results "
+        "identical to serial, throughput within "
+        f"{args.threshold:g}x of the recording"]
+
+
+#: keys every profile block must carry — a baseline or re-run missing one
+#: is malformed, not merely slow
+_PROFILE_KEYS = ("app", "stages", "coverage", "self_overhead_s",
+                 "flamegraph_stacks")
+
+
+def _validate_profile_block(block, label: str) -> List[str]:
+    """Structural checks on a ``profile`` block; returns violation strings."""
+    from repro.obs.profile import STAGE_NAMES
+
+    violations = []
+    if not isinstance(block, dict):
+        return [f"{label}: profile block is not an object"]
+    for key in _PROFILE_KEYS:
+        if key not in block:
+            violations.append(f"{label}: profile block missing key {key!r}")
+    stages = block.get("stages")
+    if isinstance(stages, dict):
+        for stage in STAGE_NAMES:
+            record = stages.get(stage)
+            if not isinstance(record, dict):
+                violations.append(
+                    f"{label}: profile block missing stage {stage!r}")
+            elif not isinstance(record.get("seconds"), (int, float)):
+                violations.append(
+                    f"{label}: stage {stage!r} has no seconds measurement")
+    else:
+        violations.append(f"{label}: profile stages is not an object")
+    coverage = block.get("coverage")
+    if not isinstance(coverage, (int, float)) or not 0.0 <= coverage <= 1.0:
+        violations.append(
+            f"{label}: coverage {coverage!r} is not in [0, 1]")
+    stacks = block.get("flamegraph_stacks")
+    if not isinstance(stacks, int) or stacks <= 0:
+        violations.append(
+            f"{label}: flamegraph_stacks {stacks!r} is not a positive count")
+    return violations
+
+
+def _run_profile(recorded, args) -> Dict[str, object]:
+    if not args.update:
+        violations = _validate_profile_block(recorded, "baseline")
+        if violations:
+            raise GateError(2, ["MALFORMED PROFILE BASELINE:"]
+                            + [f"  {v}" for v in violations]
+                            + ["run with --profile --update to regenerate it"])
+    app = (recorded or {}).get("app")
+    try:
+        # run_profile_bench round-trips the collapsed-stack export through
+        # parse_collapsed; a broken flamegraph surfaces here
+        return run_profile_bench(app if isinstance(app, str) else PROFILE_APP)
+    except ValueError as exc:
+        raise GateError(2, [f"MALFORMED FLAMEGRAPH EXPORT: {exc}"]) from exc
+
+
+def _check_profile(current, recorded, args) -> Tuple[int, List[str]]:
+    violations = _validate_profile_block(current, "current")
+    if violations:
+        return 2, ["MALFORMED PROFILE BLOCK:"] + [f"  {v}" for v in violations]
+    cur_cov = float(current["coverage"])
+    lines = [f"{current['app']:18s} coverage={cur_cov:.3f}, "
+             f"self_overhead={current['self_overhead_s']:.4f}s, "
+             f"{current['flamegraph_stacks']} flamegraph stacks"]
+    for stage, record in current["stages"].items():
+        lines.append(f"  {stage:12s} {record['seconds']:.3f}s "
+                     f"coverage={record.get('coverage', 0.0):.3f}")
+    if recorded is None:
+        return 0, lines
+    base_cov = float(recorded["coverage"])
+    if cur_cov < base_cov - args.coverage_slack:
+        return 1, lines + [
+            "", f"ATTRIBUTION COVERAGE COLLAPSE: {cur_cov:.3f} is more than "
+            f"{args.coverage_slack:g} below the recorded {base_cov:.3f}"]
+    return 0, lines + [
+        "", f"ok: attribution coverage held at {cur_cov:.3f} "
+        f"(recorded {base_cov:.3f}), flamegraph export round-trips"]
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One ``BENCH_pipeline.json`` block: how to re-run it and gate it.
+
+    ``run(recorded, args)`` may raise :class:`GateError`; ``check`` gets
+    ``recorded=None`` under ``--update`` and then applies only the checks
+    that need no recording (result equivalence, block structure).
+    ``needs_block`` suites cannot gate without a recorded block.
+    """
+
+    run: Callable[..., Dict[str, object]]
+    check: Callable[..., Tuple[int, List[str]]]
+    needs_block: bool
+
+
+#: every bench suite, keyed by its block name (= its selecting flag,
+#: except ``apps``, which runs when no suite flag is given)
+SUITES: Dict[str, Suite] = {
+    "apps": Suite(_run_apps, _check_apps, needs_block=True),
+    "warm": Suite(_run_warm, _check_warm, needs_block=False),
+    "serve": Suite(_run_serve, _check_serve, needs_block=False),
+    "corpus": Suite(_run_corpus, _check_corpus, needs_block=True),
+    "profile": Suite(_run_profile, _check_profile, needs_block=True),
+}
+
+
+# ----------------------------------------------------------------------
+# the driver
+# ----------------------------------------------------------------------
+def _record_bench_run(ledger, block: Dict[str, object]) -> str:
+    """Append an ``apps`` block to the ledger as one ``bench`` run."""
+    from repro.obs.history import KIND_BENCH
+
+    run_id = ledger.begin_run(KIND_BENCH, {"apps": list(block)})
+    for name, record in block.items():
+        ledger.record_app(
+            run_id,
+            name,
+            status="ok",
+            elapsed_s=record["stages"].get("total", 0.0),
+            stages=record["stages"],
+            metrics={k: {"type": "counter", "value": v}
+                     for k, v in record["counters"].items()},
+            races=(),
+        )
+    return run_id
+
+
+def gate_against_history(db_path: str, threshold: float) -> int:
+    """Record an ``apps`` bench into the ledger and gate against the
+    previous bench run there (the baseline rolls forward with every
+    green run). The first run against an empty ledger records and
+    passes; a malformed ledger is exit 2."""
+    from repro.obs.diffing import diff_runs, render_diff
+    from repro.obs.history import KIND_BENCH, LedgerError, RunLedger
+
+    try:
+        with RunLedger(db_path) as ledger:
+            had_baseline = bool(ledger.runs(kind=KIND_BENCH))
+            run_id = _record_bench_run(ledger, bench_apps(DEFAULT_APPS))
+            if not had_baseline:
+                print(f"recorded first bench run {run_id} in {db_path}; "
+                      "nothing to gate against yet")
+                return 0
+            # resolve by kind so interleaved analyze runs in a shared ledger
+            # never become the bench baseline; threshold here is a slowdown
+            # factor (2.0x) while diffing wants the relative increase
+            base = ledger.resolve("latest~1", kind=KIND_BENCH)
+            diff = diff_runs(
+                ledger, str(base["run_id"]), run_id,
+                time_threshold=threshold - 1.0,
+            )
+        print(render_diff(diff))
+        return diff.gate_exit_code()
+    except LedgerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def run(args) -> int:
+    """Run and gate the suites ``args`` selects; exit 0/1/2.
+
+    ``args`` is the parsed ``repro bench`` namespace (flags ``warm``,
+    ``serve``, ``corpus``, ``profile``, ``update``, ``baseline``,
+    ``threshold``, ``coverage_slack``, ``history``, ``cache``).
+    """
+    names = [name for name in SUITES if name != "apps" and getattr(args, name)]
+    names = names or ["apps"]
+    hint = " ".join([f"--{name}" for name in names if name != "apps"] + ["--update"])
+    if args.history and names == ["apps"]:
+        if args.update:
+            print("error: --history gates the apps suite against the ledger; "
+                  "it does not combine with --update", file=sys.stderr)
+            return 2
+        return gate_against_history(args.history, args.threshold)
+
+    path = Path(args.baseline) if args.baseline else BASELINE
+    baseline: Dict[str, object] = {}
+    if path.exists():
+        try:
+            baseline = json.loads(path.read_text())
+            if not isinstance(baseline, dict):
+                raise ValueError("top level is not an object")
+        except ValueError as exc:  # json.JSONDecodeError included
+            if not args.update:
+                print(f"error: baseline {path} is not valid JSON ({exc}); "
+                      f"run with {hint} to regenerate it", file=sys.stderr)
+                return 2
+            baseline = {}
+    elif not args.update and any(SUITES[n].needs_block for n in names):
+        print(f"error: no baseline at {path}; run with {hint} first",
+              file=sys.stderr)
+        return 2
+    if not args.update:
+        for name in names:
+            if SUITES[name].needs_block and not baseline.get(name):
+                print(f"error: baseline {path} records no {name} block; "
+                      f"run with {hint} to record one", file=sys.stderr)
+                return 2
+
+    code = 0
+    blocks: Dict[str, object] = {}
+    for name in names:
+        suite = SUITES[name]
+        recorded = baseline.get(name)
+        try:
+            block = suite.run(recorded, args)
+            suite_code, lines = suite.check(
+                block, None if args.update else recorded, args)
+        except GateError as exc:
+            suite_code, lines = exc.code, exc.lines
+        else:
+            blocks[name] = block
+        print("\n".join(lines), file=sys.stderr if suite_code else sys.stdout)
+        code = max(code, suite_code)
+
+    if args.update:
+        if code:
+            print(f"baseline not updated: {path}", file=sys.stderr)
+            return code
+        baseline.setdefault("schema", SCHEMA)
+        baseline.update(blocks)
+        with open(path, "w") as fh:
+            json.dump(baseline, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"baseline updated: {path} ({', '.join(names)})")
+    return code

@@ -361,71 +361,6 @@ class TransitiveClosure(Generic[N]):
         return any((row >> i) & 1 for i, row in enumerate(self._after))
 
 
-class NaiveTransitiveClosure(Generic[N]):
-    """The original per-node Python-``set`` closure.
-
-    Kept as the reference implementation: the property tests check the
-    bitset closure against it, and ``repro.perf`` uses it as the baseline
-    when measuring the bitset speedup. Semantically identical to
-    :class:`TransitiveClosure`.
-    """
-
-    def __init__(self) -> None:
-        self._after: Dict[N, Set[N]] = {}
-        self._before: Dict[N, Set[N]] = {}
-        self._direct: Set[Tuple[N, N]] = set()
-
-    def add_node(self, node: N) -> None:
-        self._after.setdefault(node, set())
-        self._before.setdefault(node, set())
-
-    def add_edge(self, src: N, dst: N) -> bool:
-        """Record ``src < dst``; returns True if the closure grew."""
-        self.add_node(src)
-        self.add_node(dst)
-        self._direct.add((src, dst))
-        if dst in self._after[src]:
-            return False
-        sources = self._before[src] | {src}
-        targets = self._after[dst] | {dst}
-        grew = False
-        for a in sources:
-            new = targets - self._after[a]
-            if new:
-                grew = True
-                self._after[a] |= new
-                for b in new:
-                    self._before[b].add(a)
-        return grew
-
-    def ordered(self, a: N, b: N) -> bool:
-        return b in self._after.get(a, ())
-
-    def comparable(self, a: N, b: N) -> bool:
-        return self.ordered(a, b) or self.ordered(b, a)
-
-    def successors(self, node: N) -> Set[N]:
-        return set(self._after.get(node, ()))
-
-    def predecessors(self, node: N) -> Set[N]:
-        return set(self._before.get(node, ()))
-
-    def direct_edges(self) -> Set[Tuple[N, N]]:
-        return set(self._direct)
-
-    def edge_count(self) -> int:
-        return sum(len(afters) for afters in self._after.values())
-
-    def closure_edges(self) -> Set[Tuple[N, N]]:
-        return {(a, b) for a, afters in self._after.items() for b in afters}
-
-    def nodes(self) -> List[N]:
-        return list(self._after)
-
-    def has_cycle(self) -> bool:
-        return any(node in self._after[node] for node in self._after)
-
-
 def topological_order(graph: Digraph[N]) -> List[N]:
     """Kahn's algorithm; raises ValueError on cyclic graphs."""
     indegree = {node: len(graph.predecessors(node)) for node in graph.nodes}

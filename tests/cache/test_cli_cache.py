@@ -106,26 +106,3 @@ class TestWarmBench:
         assert rec["counters"]["refutation_cache_hits"] > 0
         assert data["equivalence"]["identical"]
         assert data["cold_apps"]["quickstart"]["stages"]["total"] > 0
-
-    def test_run_bench_warm_embeds_section(self, tmp_path):
-        from repro.perf import run_bench
-
-        out = tmp_path / "BENCH.json"
-        data = run_bench(
-            apps=["quickstart"],
-            speedup_app=None,
-            out_path=str(out),
-            cache_dir=str(tmp_path / "cache"),
-            warm=True,
-        )
-        written = json.loads(out.read_text())
-        for record in (data, written):
-            assert "warm" in record
-            assert record["warm"]["equivalence"]["identical"]
-            # the cold pass doubles as the baseline app numbers
-            assert "quickstart" in record["apps"]
-
-    def test_bench_warm_requires_cache(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        assert main(["bench", "--warm", "--apps", "quickstart", "--out", ""]) == 2
-        assert "needs a cache" in capsys.readouterr().err

@@ -284,7 +284,7 @@ class TestClosureImplementationEquivalence:
 
     @pytest.mark.parametrize("builder", [full_lifecycle_apk])
     def test_generic_vs_bitset_rule_pipeline(self, builder):
-        from repro.util.graph import NaiveTransitiveClosure
+        from tests.util.closure_oracle import NaiveTransitiveClosure
 
         apk = builder()
         harness = generate_harnesses(apk).model
@@ -298,7 +298,7 @@ class TestClosureImplementationEquivalence:
                 assert fast.ordered(a.id, b.id) == slow.ordered(a.id, b.id)
 
     def test_generic_vs_bitset_on_synthetic_app(self, small_synth):
-        from repro.util.graph import NaiveTransitiveClosure
+        from tests.util.closure_oracle import NaiveTransitiveClosure
 
         apk, _truth = small_synth
         harness = generate_harnesses(apk).model

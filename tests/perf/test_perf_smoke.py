@@ -1,20 +1,18 @@
 """Fast checks of the benchmark harness (marked ``perf_smoke``).
 
-These run the real substrate benches on a small app (speed, not the
+These run the real ``apps`` suite on a small app (speed, not the
 recorded baseline) and check the regression-gate logic on synthetic
 records, so ``pytest -m perf_smoke`` stays well under a minute.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.perf import (
-    bench_app,
-    bench_hbg,
-    compare_to_baseline,
-    run_bench,
-)
+from repro.cli import main
+from repro.perf import compare_to_baseline
 
 pytestmark = pytest.mark.perf_smoke
 
@@ -23,8 +21,12 @@ SMALL_APP = "paper:APV"
 
 
 @pytest.fixture(scope="module")
-def bench_record():
-    return run_bench(apps=[SMALL_APP], speedup_app=None, out_path=None)
+def bench_record(tmp_path_factory):
+    """A baseline recorded by ``repro bench --update`` from one app."""
+    path = tmp_path_factory.mktemp("bench") / "BENCH_pipeline.json"
+    path.write_text(json.dumps({"apps": {SMALL_APP: {}}}))
+    assert main(["bench", "--update", "--baseline", str(path)]) == 0
+    return json.loads(path.read_text())
 
 
 class TestBenchRecordShape:
@@ -33,6 +35,7 @@ class TestBenchRecordShape:
         record = bench_record["apps"][SMALL_APP]
         assert set(record) == {"stages", "counters", "report"}
         assert set(record["stages"]) == {"cg_pa", "hbg", "refutation", "total"}
+        assert record["stages"]["total"] >= record["stages"]["cg_pa"]
 
     def test_counters_are_positive(self, bench_record):
         counters = bench_record["apps"][SMALL_APP]["counters"]
@@ -44,19 +47,6 @@ class TestBenchRecordShape:
         report = bench_record["apps"][SMALL_APP]["report"]
         assert report["racy_pairs"] >= report["races_after_refutation"] >= 0
         assert report["edges_by_rule"]
-
-
-class TestSubstrateBenches:
-    def test_bench_hbg_sides_agree(self):
-        # the bench itself asserts edge-count and per-rule equality between
-        # the naive and bitset builds; a crash or mismatch fails this test
-        out = bench_hbg(SMALL_APP, repeats=1)
-        assert out["hb_edges"] > 0
-        assert out["naive_s"] > 0 and out["bitset_s"] > 0
-
-    def test_bench_app_standalone(self):
-        record = bench_app(SMALL_APP)
-        assert record["stages"]["total"] >= record["stages"]["cg_pa"]
 
 
 class TestCorpusAnalyzeSmoke:
@@ -120,16 +110,9 @@ class TestTraceExport:
         assert any(e["args"].get("rss_peak_kb", 0) > 0 for e in ends)
 
     def test_bench_driver_trace_gate(self):
-        import importlib.util
-        from pathlib import Path
+        from repro.perf.bench import validate_trace_gate
 
-        gate_path = (
-            Path(__file__).resolve().parents[2] / "benchmarks" / "run_bench.py"
-        )
-        spec = importlib.util.spec_from_file_location("bench_gate", gate_path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        assert module.validate_trace_gate("quickstart") == []
+        assert validate_trace_gate("quickstart") == []
 
 
 class TestLedgerGate:
@@ -182,17 +165,8 @@ class TestLedgerGate:
                      "--history", db]) == 2
 
     def test_bench_history_gate_rolls_forward(self, tmp_path):
-        """benchmarks/run_bench.py --history: first run records and passes,
-        a same-speed second run gates clean against it."""
-        import importlib.util
-        from pathlib import Path
-
-        gate_path = (
-            Path(__file__).resolve().parents[2] / "benchmarks" / "run_bench.py"
-        )
-        spec = importlib.util.spec_from_file_location("bench_gate_h", gate_path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        """repro bench --history: first run records and passes, a
+        same-speed second run gates clean against it."""
         from repro.obs.history import KIND_BENCH, RunLedger
 
         db = str(tmp_path / "bench.db")
@@ -203,35 +177,23 @@ class TestLedgerGate:
         # heap earlier tests left behind
         import gc
 
-        assert module.gate_against_history(db, 3.0) == 0  # first run: baseline
+        gate = ["bench", "--history", db, "--threshold", "3.0"]
+        assert main(gate) == 0  # first run: baseline
         gc.collect()
-        assert module.gate_against_history(db, 3.0) == 0  # second run: gated
+        assert main(gate) == 0  # second run: gated
         with RunLedger(db) as ledger:
             assert len(ledger.runs(kind=KIND_BENCH)) == 2
 
     def test_bench_history_gate_malformed_ledger(self, tmp_path):
-        import importlib.util
-        from pathlib import Path
-
-        gate_path = (
-            Path(__file__).resolve().parents[2] / "benchmarks" / "run_bench.py"
-        )
-        spec = importlib.util.spec_from_file_location("bench_gate_h2", gate_path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
         db = tmp_path / "bench.db"
         db.write_bytes(b"corrupt")
-        assert module.gate_against_history(str(db), 2.0) == 2
+        assert main(["bench", "--history", str(db)]) == 2
 
 
 class TestRegressionGate:
     @staticmethod
     def _record(cg_pa, hbg):
-        return {
-            "apps": {
-                "app": {"stages": {"cg_pa": cg_pa, "hbg": hbg}}
-            }
-        }
+        return {"app": {"stages": {"cg_pa": cg_pa, "hbg": hbg}}}
 
     def test_no_violation_within_threshold(self):
         base = self._record(1.0, 0.5)
@@ -252,6 +214,6 @@ class TestRegressionGate:
         assert compare_to_baseline(current, base) == []
 
     def test_unknown_apps_and_stages_ignored(self):
-        base = {"apps": {"other": {"stages": {"cg_pa": 1.0}}}}
+        base = {"other": {"stages": {"cg_pa": 1.0}}}
         current = self._record(9.0, 9.0)
         assert compare_to_baseline(current, base) == []

@@ -66,3 +66,74 @@ class TestGateRuns:
         out = capsys.readouterr().out
         assert "quickstart" in out
         assert "paper:APV" not in out  # not the default suite: baseline-driven
+
+    def test_effort_counter_mismatch_names_app_and_counter(
+        self, gate, tmp_path, capsys
+    ):
+        baseline = tmp_path / "recorded.json"
+        baseline.write_text(json.dumps({"apps": {"quickstart": {}}}))
+        assert gate.main(["--update", "--baseline", str(baseline)]) == 0
+        data = json.loads(baseline.read_text())
+        # generous stages: only the counters can fail this gate
+        stages = data["apps"]["quickstart"]["stages"]
+        for stage in stages:
+            stages[stage] = 60.0
+        baseline.write_text(json.dumps(data))
+        assert gate.main(["--baseline", str(baseline)]) == 0
+        assert "effort counters equal the recording" in capsys.readouterr().out
+
+        counters = data["apps"]["quickstart"]["counters"]
+        counters["closure_ops"] += 1
+        baseline.write_text(json.dumps(data))
+        assert gate.main(["--baseline", str(baseline)]) == 1
+        err = capsys.readouterr().err
+        assert "EFFORT COUNTER MISMATCH" in err
+        assert (f"quickstart/closure_ops {counters['closure_ops']}->"
+                f"{counters['closure_ops'] - 1}") in err
+
+
+#: canned blocks of the suites an update must leave alone
+_CORPUS_BLOCK = {
+    "count": 3, "seed": 3, "families": ["storm"], "max_size": 0,
+    "timeout_s": 60.0, "shards": {"1": {"apps_per_s": 1.0}},
+    "ground_truth": {"recall": 1.0},
+}
+_PROFILE_BLOCK = {"app": "quickstart", "coverage": 0.5, "stages": {}}
+
+
+class TestPerSuiteUpdate:
+    """``--update`` replaces only the selected suites' blocks; every other
+    block of the baseline stays equal as a JSON value."""
+
+    def test_update_keeps_every_other_block(self, gate, tmp_path):
+        baseline = tmp_path / "BENCH.json"
+        original = {
+            "schema": 1,
+            "python": "3.0.0",
+            "apps": {"quickstart": {"stages": {"total": 1.0}}},
+            "warm": {"apps": {"quickstart": {}}},
+            "corpus": _CORPUS_BLOCK,
+            "profile": _PROFILE_BLOCK,
+        }
+        baseline.write_text(json.dumps(original))
+
+        assert gate.main(["--warm", "--update", "--baseline", str(baseline),
+                          "--cache", str(tmp_path / "cache")]) == 0
+        after_warm = json.loads(baseline.read_text())
+        assert set(after_warm) == set(original)
+        for key in original:
+            if key != "warm":
+                assert after_warm[key] == original[key], key
+        assert set(after_warm["warm"]["apps"]) == {"quickstart"}
+        assert after_warm["warm"]["equivalence"]["identical"]
+
+        assert gate.main(["--corpus", "--update", "--baseline", str(baseline)]) == 0
+        after_corpus = json.loads(baseline.read_text())
+        for key in after_warm:
+            if key != "corpus":
+                assert after_corpus[key] == after_warm[key], key
+        corpus = after_corpus["corpus"]
+        assert (corpus["count"], corpus["seed"], corpus["families"]) == (
+            3, 3, ["storm"])
+        assert set(corpus["shards"]) == {"1"}
+        assert corpus["ground_truth"]["recall"] == 1.0

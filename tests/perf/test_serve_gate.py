@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-from repro.perf import run_serve_bench
+from repro.perf import bench, run_serve_bench
 
 pytestmark = pytest.mark.serve_smoke
 
@@ -23,39 +23,33 @@ def gate():
     return module
 
 
-def _gate_args(tmp_path, **overrides):
-    defaults = dict(
-        update=False,
-        baseline=tmp_path / "BENCH_pipeline.json",
-        cache=None,
-        history=None,
+def _fake_suite(monkeypatch, name, run):
+    """Swap one suite's ``run`` step, keeping its real ``check``."""
+    monkeypatch.setitem(
+        bench.SUITES, name, dataclasses.replace(bench.SUITES[name], run=run)
     )
-    defaults.update(overrides)
-    return SimpleNamespace(**defaults)
 
 
 def _canned_serve_block(identical: bool):
     return {
-        "serve": {
-            "ledger": "/tmp/ledger.sqlite",
-            "workers": 2,
-            "concurrency": 4,
-            "isolated": True,
-            "apps_per_s": 3.0,
-            "latency_p50_s": 0.2,
-            "latency_p99_s": 1.0,
-            "apps": {
-                "quickstart": {
-                    "job_status": "done",
-                    "latency_s": 0.2,
-                    "equivalent": identical,
-                }
-            },
-            "equivalence": {
-                "identical": identical,
-                "divergences": "" if identical else "quickstart: 1 new, 0 fixed, 0 flips",
-            },
-        }
+        "ledger": "/tmp/ledger.sqlite",
+        "workers": 2,
+        "concurrency": 4,
+        "isolated": True,
+        "apps_per_s": 3.0,
+        "latency_p50_s": 0.2,
+        "latency_p99_s": 1.0,
+        "apps": {
+            "quickstart": {
+                "job_status": "done",
+                "latency_s": 0.2,
+                "equivalent": identical,
+            }
+        },
+        "equivalence": {
+            "identical": identical,
+            "divergences": "" if identical else "quickstart: 1 new, 0 fixed, 0 flips",
+        },
     }
 
 
@@ -81,27 +75,44 @@ class TestRunServeBench:
 
 class TestServeGate:
     def test_divergence_exits_two(self, gate, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(
-            gate, "run_bench", lambda **kw: _canned_serve_block(False)
-        )
-        assert gate.serve_gate(_gate_args(tmp_path)) == 2
+        _fake_suite(monkeypatch, "serve",
+                    lambda recorded, args: _canned_serve_block(False))
+        assert gate.main(["--serve", "--baseline", str(tmp_path / "b.json")]) == 2
         assert "SERVE/CLI DIVERGENCE" in capsys.readouterr().err
 
     def test_identical_exits_zero(self, gate, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(
-            gate, "run_bench", lambda **kw: _canned_serve_block(True)
-        )
-        assert gate.serve_gate(_gate_args(tmp_path)) == 0
+        _fake_suite(monkeypatch, "serve",
+                    lambda recorded, args: _canned_serve_block(True))
+        assert gate.main(["--serve", "--baseline", str(tmp_path / "b.json")]) == 0
         out = capsys.readouterr().out
         assert "apps/s" in out and "identical to CLI one-shots" in out
 
+    def test_divergent_update_writes_nothing(
+        self, gate, tmp_path, monkeypatch, capsys
+    ):
+        _fake_suite(monkeypatch, "serve",
+                    lambda recorded, args: _canned_serve_block(False))
+        path = tmp_path / "b.json"
+        path.write_text('{"apps": {}}')
+        assert gate.main(["--serve", "--update", "--baseline", str(path)]) == 2
+        assert path.read_text() == '{"apps": {}}'
+        assert "baseline not updated" in capsys.readouterr().err
+
     def test_cli_flag_routes_to_serve_gate(self, gate, monkeypatch, tmp_path):
+        """``--serve`` runs the serve suite alone, with the recorded
+        block's parameters; it no longer benches the apps pass."""
         called = {}
 
-        def fake(args):
-            called["serve"] = True
-            return 0
+        def fake(recorded, args):
+            called["serve"] = recorded
+            return _canned_serve_block(True)
 
-        monkeypatch.setattr(gate, "serve_gate", fake)
-        assert gate.main(["--serve", "--baseline", str(tmp_path / "b.json")]) == 0
-        assert called == {"serve": True}
+        def no_apps(recorded, args):
+            raise AssertionError("--serve must not bench the apps suite")
+
+        _fake_suite(monkeypatch, "serve", fake)
+        _fake_suite(monkeypatch, "apps", no_apps)
+        path = tmp_path / "b.json"
+        path.write_text('{"serve": {"apps": {"quickstart": {}}, "workers": 1}}')
+        assert gate.main(["--serve", "--baseline", str(path)]) == 0
+        assert called == {"serve": {"apps": {"quickstart": {}}, "workers": 1}}

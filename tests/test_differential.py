@@ -52,9 +52,6 @@ def test_dynamic_races_are_static_candidates(spec, seed):
     apk, _truth = synthesize_app(spec)
     static = Sierra(SierraOptions()).analyze(apk)
     candidate_fields = {p.field_name for p in static.racy_pairs}
-    ordered_away = {
-        p.field_name for p in static.racy_pairs
-    }  # candidates are by definition unordered; rule-3b fields never appear
     dynamic = run_eventracer(apk, schedules=2, max_events=40, seed=seed)
 
     for race in dynamic.races:

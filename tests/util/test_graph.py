@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.util.graph import (
     Digraph,
-    NaiveTransitiveClosure,
     TransitiveClosure,
     strongly_connected_components,
     topological_order,
 )
+from tests.util.closure_oracle import NaiveTransitiveClosure
 
 
 def chain(*nodes):
